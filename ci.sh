@@ -17,6 +17,9 @@ cargo build --workspace --release
 echo "==> cargo test"
 cargo test --workspace -q
 
+echo "==> perfbench smoke runs (the repository benchmark builds against the crates)"
+cargo test --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> criterion benches compile"
 cargo bench --workspace --no-run
 

@@ -1,4 +1,4 @@
-//! Data-generation throughput: sequential vs work-stealing parallel replay
+//! Data-generation throughput: sequential vs parallel replay
 //! fan-out, and the cost of a cheap `SimSnapshot` vs a full `Simulation`
 //! clone (the per-breakpoint checkpoint the replays are restored from).
 

@@ -38,7 +38,6 @@ use gpu_workloads::by_name;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;
-use ssmdvfs::exec::effective_jobs;
 use ssmdvfs::serve::{DecisionRequest, DecisionService, ServeConfig, ServeStats};
 use ssmdvfs::{
     generate_suite_with, generate_workload_jobs, select_features_with, CombinedModel,
@@ -47,9 +46,9 @@ use ssmdvfs::{
 };
 use ssmdvfs_bench::artifacts_dir;
 use tinynn::{
-    grad_shards, prune_magnitude, train_classifier_parallel_with, train_classifier_with,
-    ClassificationData, InferScratch, InferenceNet, Int8Net, Matrix, Mlp, QuantizedMlp,
-    TrainConfig, TrainPool, TrainScratch,
+    effective_jobs, grad_shards, prune_magnitude, train_classifier_parallel_with,
+    train_classifier_with, ClassificationData, InferScratch, InferenceNet, Int8Net, Matrix, Mlp,
+    QuantizedMlp, TrainConfig, TrainPool, TrainScratch,
 };
 
 #[derive(Serialize)]

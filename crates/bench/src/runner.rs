@@ -163,9 +163,9 @@ pub fn try_compare_on_benchmark(
 /// (sequential on single-core machines). Order of results matches input
 /// order.
 ///
-/// Delegates to the shared work-stealing pool in [`ssmdvfs::exec`], which
-/// writes each result into its own pre-sized output slot instead of taking
-/// a lock around the whole result vector per item.
+/// Delegates to [`ssmdvfs::exec`], whose shared worker pool writes each
+/// result into its own output slot instead of taking a lock around the
+/// whole result vector per item.
 pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send + Sync,

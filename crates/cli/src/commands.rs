@@ -249,10 +249,7 @@ pub fn fleet(args: &Args) -> CmdResult {
     if gpus == 0 {
         return Err(err("--gpus must be at least 1"));
     }
-    let jobs = match args.get_usize("jobs", 0)? {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        n => n,
-    };
+    let jobs = tinynn::effective_jobs(args.get_usize("jobs", 0)?);
     let preset = args.get_f64("preset", 0.10)?;
     let horizon = Time::from_micros(args.get_f64("horizon-us", 2_000.0)?);
     let name = args.get("benchmark").unwrap_or("sgemm");
@@ -382,7 +379,7 @@ pub fn datagen(args: &Args) -> CmdResult {
     options.cache = cache.clone();
 
     // Fan every (benchmark, breakpoint, operating point) replay out over
-    // the shared work-stealing pool; the sample order is identical to a
+    // the shared worker pool; the sample order is identical to a
     // sequential per-benchmark run, and (with a journal) byte-identical
     // across an interruption.
     let outcome = generate_suite_with(&scaled, &cfg, &dg, &options)

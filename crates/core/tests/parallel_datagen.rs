@@ -1,5 +1,5 @@
 //! Determinism guarantees of the parallel data-generation engine: fanning
-//! the per-operating-point replays out over a work-stealing pool must not
+//! the per-operating-point replays out over the worker pool must not
 //! change a single byte of the resulting dataset.
 
 use gpu_sim::{BasicBlock, GpuConfig, InstrClass, KernelSpec, MemoryBehavior, Time, Workload};

@@ -8,14 +8,17 @@
 //!    per `(gpu, cluster)`.
 //! 2. **Serve ≡ govern** — routing a GPU's decisions through the service
 //!    produces exactly the stream a private, sequential
-//!    [`SsmdvfsGovernor`] would, including the self-calibration feedback.
+//!    [`SsmdvfsGovernor`] would, including the self-calibration feedback,
+//!    even when many requests for the same `(gpu, cluster)` share a batch.
 
 use std::sync::Arc;
 
 use gpu_power::VfTable;
-use gpu_sim::{run_fleet, DvfsGovernor, EpochCounters, GpuConfig, Simulation, Time, Workload};
-use ssmdvfs::serve::{DecisionService, ServeConfig};
-use ssmdvfs::{CombinedModel, SsmdvfsConfig, SsmdvfsGovernor};
+use gpu_sim::{
+    run_fleet, CounterId, DvfsGovernor, EpochCounters, GpuConfig, Simulation, Time, Workload,
+};
+use ssmdvfs::serve::{DecisionService, PendingDecision, ServeConfig};
+use ssmdvfs::{CombinedModel, DecisionRequest, SsmdvfsConfig, SsmdvfsGovernor};
 
 fn fleet_workloads(n: usize) -> Vec<Arc<Workload>> {
     let names = ["sgemm", "stencil", "atax"];
@@ -113,4 +116,51 @@ fn served_decisions_match_direct_governor() {
     assert_eq!(served[0].decisions, direct_decisions, "serving must equal direct governing");
     assert_eq!(served[0].result.instructions, direct.instructions);
     assert_eq!(served[0].result.epochs, direct.epochs);
+}
+
+/// Deterministic, varied counters for the `i`-th request of a stream.
+fn counters_for(i: u64) -> EpochCounters {
+    let mut c = EpochCounters::zeroed();
+    c[CounterId::TotalInstrs] = 500.0 + 37.0 * i as f64;
+    c[CounterId::TotalCycles] = 1_000.0;
+    c[CounterId::IntAluInstrs] = 200.0 + 11.0 * i as f64;
+    c[CounterId::LoadGlobalInstrs] = 60.0 + 3.0 * (i % 7) as f64;
+    c[CounterId::StallMemLoad] = 120.0 + 17.0 * (i % 5) as f64;
+    c[CounterId::L1ReadAccess] = 90.0;
+    c[CounterId::L1ReadMiss] = 20.0 + (i % 9) as f64;
+    c.recompute_derived();
+    c
+}
+
+/// Pipelining many requests for the *same* `(gpu, cluster)` into one
+/// batch must still reproduce a sequential governor's decisions: the
+/// batcher applies each request's calibration feedback in submission
+/// order, so duplicate keys within a batch never see stale state.
+#[test]
+fn pipelined_same_key_requests_match_sequential_governor() {
+    let table = GpuConfig::small_test().vf_table;
+    let model = Arc::new(CombinedModel::synthetic(table.len(), 9));
+    let ctrl = SsmdvfsConfig::new(0.1);
+
+    // Sequential reference: one governor, same counters in order.
+    let mut gov = SsmdvfsGovernor::new(Arc::clone(&model), ctrl.clone());
+    let reference: Vec<usize> = (0..256).map(|i| gov.decide(0, &counters_for(i), &table)).collect();
+
+    // Served: pipeline all requests for (gpu 0, cluster 0) before waiting,
+    // so the batcher drains multi-request batches with duplicate keys.
+    let service = DecisionService::start(
+        Arc::clone(&model),
+        ctrl,
+        table.clone(),
+        ServeConfig { shards: 1, max_batch: 32, queue_depth: 1024, deadline: None },
+    );
+    let client = service.client();
+    let pending: Vec<PendingDecision> = (0..256)
+        .map(|i| client.submit(DecisionRequest { gpu: 0, cluster: 0, counters: counters_for(i) }))
+        .collect();
+    let served: Vec<usize> = pending.into_iter().map(|p| p.wait().op_index).collect();
+    let stats = service.shutdown();
+    eprintln!("mean batch = {:.2}, batches = {}", stats.mean_batch(), stats.batches);
+    assert!(stats.mean_batch() > 1.5, "probe did not exercise batching; rerun");
+    assert_eq!(served, reference, "pipelined same-key stream diverged from governor");
 }

@@ -47,7 +47,6 @@ pub const DEFAULT_COUNTERS: &[&str] = &[
     "exec.quarantine_dropped",
     "exec.quarantine_retries",
     "exec.tasks_executed",
-    "exec.tasks_stolen",
     "power.epoch_energy_evals",
     "rfe.parallel_tasks",
     "rfe.rounds",

@@ -63,7 +63,7 @@ pub use matrix::Matrix;
 pub use metrics::{accuracy, argmax, confusion_matrix, mape, mape_counted, mean_class_distance};
 pub use mlp::{Activation, Dense, ForwardCache, Gradients, InferScratch, Mlp};
 pub use optim::{Adam, Optimizer, Sgd};
-pub use par::TrainPool;
+pub use par::{effective_jobs, TrainPool};
 pub use prune::{prune_magnitude, prune_neurons, prune_two_stage, ZeroMask};
 pub use quant::{Int8Net, QuantizedLayer, QuantizedMlp};
 pub use select::{

@@ -410,21 +410,6 @@ impl Mlp {
         }
     }
 
-    /// Micro-batch forward pass for the decision-serving path: runs every
-    /// row of `x` through the batched kernel, reusing the cache's
-    /// transposed-weight scratch and activation matrices, and returns the
-    /// output batch (one row per input row).
-    ///
-    /// Bit-identical to running each row through [`Mlp::forward_one_into`]:
-    /// the batched kernel ([`Dense::forward_transposed_into`]) and the
-    /// vector kernel ([`Dense::forward_vec_into`]) both accumulate each
-    /// output over `k` in ascending order, so batching requests never
-    /// changes a single bit of any decision — enforced by proptest.
-    pub fn forward_batch_into<'c>(&self, x: &Matrix, cache: &'c mut ForwardCache) -> &'c Matrix {
-        self.forward_into(x, cache);
-        cache.output()
-    }
-
     /// Backpropagates `d_out` (gradient of the loss w.r.t. the network
     /// output, same shape as the output batch) through the cached pass.
     pub fn backward(&self, cache: &ForwardCache, d_out: &Matrix) -> Gradients {

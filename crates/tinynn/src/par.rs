@@ -1,28 +1,46 @@
-//! A persistent worker team for the sharded training loops.
+//! The workspace's one parallel runtime: a persistent worker team that
+//! claims indices from a single atomic counter.
 //!
-//! The minibatch gradient fan-out runs every ~100 µs, far too often to pay
-//! thread spawn/join per batch (the crossbeam-scope pools used by the outer
-//! pipelines spawn per call). [`TrainPool`] keeps its workers alive across
-//! an entire training run — and across the dozens of retrains of an RFE or
-//! compression sweep — and hands them work through a generation counter:
-//! the caller publishes a task, bumps the generation, and every worker
-//! (plus the caller itself) claims shard indices from a shared atomic until
-//! none remain.
+//! Every parallel stage of the offline pipeline runs here: the datagen
+//! replay sweep and the benchmark fan-outs (through `ssmdvfs::exec`), the
+//! RFE permutation-importance fan-out, and the minibatch gradient shards of
+//! every training loop. None of these jobs spawns sub-jobs, so one shared
+//! claim counter balances them as well as any scheduler would.
 //!
-//! Workers spin briefly on the generation counter before sleeping on a
-//! condvar, so the wake latency between two back-to-back batches (separated
-//! only by an optimizer step) is a few loads, not a scheduler round-trip.
+//! [`TrainPool`] keeps its workers alive across calls — the gradient
+//! fan-out runs every ~100 µs, far too often to pay thread spawn/join per
+//! batch — and hands them work through a generation counter: the caller
+//! publishes a task, bumps the generation, and every worker (plus the
+//! caller itself) claims indices until none remain. Workers spin briefly on
+//! the generation counter before sleeping on a condvar, so the wake latency
+//! between two back-to-back batches (separated only by an optimizer step)
+//! is a few loads, not a scheduler round-trip.
 //!
-//! Determinism is not this module's concern — shard *scheduling* is free to
-//! vary run to run. The training loops guarantee byte-identical results by
-//! deriving the shard count from the batch size alone and reducing shard
-//! gradients in fixed index order; the pool only decides which thread
-//! computes which shard, never what is computed.
+//! Runs are fail-fast: once an index panics, no further index of that run
+//! is claimed, and the first payload is re-raised on the caller. The team
+//! itself survives and serves the next run.
+//!
+//! Determinism is not this module's concern — scheduling is free to vary
+//! run to run. `for_each_mut` and [`TrainPool::map_indexed`] hand each
+//! index its own slot, so results land in input order; the training loops
+//! get byte-identical results by deriving the shard count from the batch
+//! size alone and reducing shard gradients in fixed index order. The pool
+//! only decides which thread computes which index, never what is computed.
 
+use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+
+/// Resolves a requested worker count: `0` means one per available core.
+pub fn effective_jobs(requested: usize) -> usize {
+    if requested > 0 {
+        requested
+    } else {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    }
+}
 
 /// Iterations a worker spins on the generation counter before falling back
 /// to a condvar sleep. Sized to cover the optimizer-step gap between two
@@ -82,10 +100,10 @@ fn claim_base(generation: u64) -> u64 {
     (generation as u32 as u64) << 32
 }
 
-/// A persistent thread team for data-parallel training (see the module
-/// docs). `jobs = 1` is the serial mode: no threads are spawned and
-/// [`TrainPool::run`] executes every shard inline, which is also the code
-/// path the determinism proptests compare the parallel schedules against.
+/// A persistent thread team (see the module docs). `jobs = 1` is the
+/// serial mode: no threads are spawned and [`TrainPool::run`] executes
+/// every index inline, which is also the code path the determinism
+/// proptests compare the parallel schedules against.
 pub struct TrainPool {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
@@ -102,11 +120,7 @@ impl TrainPool {
     /// A team of `jobs` workers (`0` = one per core). The calling thread
     /// participates in every run, so `jobs - 1` threads are spawned.
     pub fn new(jobs: usize) -> TrainPool {
-        let jobs = if jobs == 0 {
-            std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-        } else {
-            jobs
-        };
+        let jobs = effective_jobs(jobs);
         let inner = Arc::new(Inner {
             state: Mutex::new(TeamState {
                 generation: 0,
@@ -126,9 +140,9 @@ impl TrainPool {
             .map(|i| {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
-                    .name(format!("tinynn-train-{i}"))
+                    .name(format!("tinynn-par-{i}"))
                     .spawn(move || worker_loop(&inner))
-                    .expect("spawning a training worker must succeed")
+                    .expect("spawning a pool worker must succeed")
             })
             .collect();
         TrainPool { inner, workers, jobs }
@@ -145,10 +159,10 @@ impl TrainPool {
     }
 
     /// Executes `task(0..shards)` across the team and blocks until every
-    /// shard has finished. Shards may run in any order on any worker; the
-    /// caller claims shards too. Panics from shards are caught, counted as
-    /// completed (so the team never deadlocks) and the first payload is
-    /// re-raised here once the generation drains.
+    /// claimed shard has finished. Shards may run in any order on any
+    /// worker; the caller claims shards too. Fail-fast: once a shard
+    /// panics, no further shard is claimed; shards already running finish,
+    /// and the first payload is re-raised here. The team stays usable.
     ///
     /// # Panics
     ///
@@ -194,6 +208,46 @@ impl TrainPool {
             panic::resume_unwind(p);
         }
     }
+
+    /// Runs `f(i, &mut items[i])` for every index across the team, each
+    /// element handed to exactly one worker. Fail-fast as
+    /// [`TrainPool::run`].
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the first panic `f` raised.
+    pub(crate) fn for_each_mut<T, F>(&self, items: &mut [T], f: F)
+    where
+        T: Send,
+        F: Fn(usize, &mut T) + Sync,
+    {
+        let slots = DisjointSlots::new(items);
+        self.run(slots.len, &|i| {
+            // SAFETY: the claim counter hands each index to one worker.
+            f(i, unsafe { slots.get(i) });
+        });
+    }
+
+    /// Maps `f` over `items` across the team, passing each item's input
+    /// index alongside it. Results come back in input order whichever
+    /// worker ran which item. Fail-fast as [`TrainPool::run`].
+    ///
+    /// # Panics
+    ///
+    /// Re-raises the first panic `f` raised.
+    pub fn map_indexed<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(usize, T) -> R + Sync,
+    {
+        let mut cells: Vec<(Option<T>, Option<R>)> =
+            items.into_iter().map(|item| (Some(item), None)).collect();
+        self.for_each_mut(&mut cells, |i, (item, out)| {
+            *out = Some(f(i, item.take().expect("each index is claimed once")));
+        });
+        cells.into_iter().map(|(_, out)| out.expect("every slot filled")).collect()
+    }
 }
 
 impl Drop for TrainPool {
@@ -210,12 +264,48 @@ impl Drop for TrainPool {
     }
 }
 
+/// Write access to a slice in which every index is claimed by exactly one
+/// worker, so the per-element `&mut` handed out never aliases. The pool's
+/// completion handshake (the mutex-protected completion count) orders all
+/// element writes before the caller reads the slice again.
+struct DisjointSlots<'a, T> {
+    ptr: *mut T,
+    len: usize,
+    _slice: PhantomData<&'a mut [T]>,
+}
+
+// SAFETY: workers only touch disjoint elements (see above), and moving a
+// `&mut T` across threads needs only `T: Send`.
+unsafe impl<T: Send> Sync for DisjointSlots<'_, T> {}
+
+impl<'a, T> DisjointSlots<'a, T> {
+    fn new(items: &'a mut [T]) -> DisjointSlots<'a, T> {
+        DisjointSlots { ptr: items.as_mut_ptr(), len: items.len(), _slice: PhantomData }
+    }
+
+    /// Element `i`.
+    ///
+    /// # Safety
+    ///
+    /// `i` must be claimed by exactly one caller for the lifetime of the
+    /// returned borrow.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn get(&self, i: usize) -> &mut T {
+        debug_assert!(i < self.len, "slot index out of bounds");
+        unsafe { &mut *self.ptr.add(i) }
+    }
+}
+
 /// Claims and executes shard indices of `generation` until none remain (or
 /// the pool has moved to a newer generation), recording completions (and
 /// the first panic) in the shared state. The generation-tagged CAS is what
 /// keeps `task` safe to call: an index below `shards` can only be claimed
 /// while its generation is still in flight, and `run` cannot return (and
 /// so the task cannot die) until every claimed index is counted complete.
+///
+/// A panicking shard closes the claim word (jumps it to `shards`), and
+/// counts the indices it closed off as complete, so the generation drains
+/// without starting them.
 fn claim_shards(inner: &Inner, task: &(dyn Fn(usize) + Sync), shards: usize, generation: u64) {
     let base = claim_base(generation);
     let mut cur = inner.next.load(Ordering::Acquire);
@@ -241,13 +331,22 @@ fn claim_shards(inner: &Inner, task: &(dyn Fn(usize) + Sync), shards: usize, gen
             return;
         }
         let result = panic::catch_unwind(AssertUnwindSafe(|| task(i)));
+        // This shard is not yet counted complete, so the generation is
+        // still in flight and the claim word still carries its tag.
+        let skipped = match result {
+            Ok(()) => 0,
+            Err(_) => {
+                let prev = inner.next.fetch_max(base | shards as u64, Ordering::AcqRel);
+                shards.saturating_sub((prev & !CLAIM_GEN_MASK) as usize)
+            }
+        };
         let mut st = inner.state.lock().expect("train pool state");
         if let Err(p) = result {
             if st.panic.is_none() {
                 st.panic = Some(p);
             }
         }
-        st.completed += 1;
+        st.completed += 1 + skipped;
         if st.completed == st.shards {
             inner.done.notify_all();
         }
@@ -361,6 +460,73 @@ mod tests {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 4);
+    }
+
+    #[test]
+    fn a_panic_stops_new_claims() {
+        // Two threads. Whoever claims shard 0 holds it until a shard past
+        // the panicking one starts (or a timeout passes), so the other
+        // thread runs shards 1..=5 alone and, without fail-fast, would go
+        // on to claim shard 6 right after the panic.
+        let pool = TrainPool::new(2);
+        let (late_tx, late_rx) = std::sync::mpsc::channel::<()>();
+        let late_rx = Mutex::new(late_rx);
+        // (worker thread, shard) in the order the shards started.
+        let started = Mutex::new(Vec::new());
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            pool.run(64, &|s| {
+                started.lock().expect("test log").push((std::thread::current().id(), s));
+                match s {
+                    0 => {
+                        let rx = late_rx.lock().expect("test channel");
+                        let _ = rx.recv_timeout(std::time::Duration::from_millis(500));
+                    }
+                    5 => panic!("shard exploded"),
+                    s if s > 5 => {
+                        let _ = late_tx.send(());
+                    }
+                    _ => {}
+                }
+            });
+        }));
+        assert!(caught.is_err(), "the shard panic must propagate");
+        let mut shards: Vec<usize> =
+            started.into_inner().expect("test log").into_iter().map(|(_, s)| s).collect();
+        shards.sort_unstable();
+        assert_eq!(shards, (0..=5).collect::<Vec<_>>(), "fail-fast: no shard past the panic");
+        // The team stays usable after a fail-fast generation.
+        let hits = AtomicU32::new(0);
+        pool.run(16, &|_| {
+            hits.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(hits.load(Ordering::Relaxed), 16);
+    }
+
+    #[test]
+    fn map_indexed_returns_input_order() {
+        for jobs in [1, 4] {
+            let pool = TrainPool::new(jobs);
+            let out = pool.map_indexed((0..257u64).collect(), |i, x| {
+                assert_eq!(i as u64, x);
+                x * 3
+            });
+            assert_eq!(out, (0..257).map(|x| x * 3).collect::<Vec<_>>(), "jobs {jobs}");
+            assert!(pool.map_indexed(Vec::<u8>::new(), |_, x| x).is_empty());
+        }
+    }
+
+    #[test]
+    fn for_each_mut_hands_every_element_to_one_worker() {
+        let pool = TrainPool::new(4);
+        let mut items = vec![0u32; 100];
+        pool.for_each_mut(&mut items, |i, x| *x += i as u32 + 1);
+        assert_eq!(items, (1..=100).collect::<Vec<u32>>());
+    }
+
+    #[test]
+    fn effective_jobs_resolves_zero_to_cores() {
+        assert!(effective_jobs(0) >= 1);
+        assert_eq!(effective_jobs(3), 3);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::matrix::Matrix;
-use crate::mlp::{Activation, ForwardCache, InferScratch, Mlp};
+use crate::mlp::{Activation, InferScratch, Mlp};
 
 /// A compressed-sparse-row `f32` matrix: only non-zero values are stored.
 ///
@@ -249,7 +249,6 @@ enum Engine {
 pub struct InferenceNet {
     engine: Engine,
     scratch: InferScratch,
-    batch: ForwardCache,
 }
 
 impl InferenceNet {
@@ -262,7 +261,7 @@ impl InferenceNet {
         } else {
             Engine::Dense(mlp.clone())
         };
-        InferenceNet { engine, scratch: InferScratch::new(), batch: ForwardCache::empty() }
+        InferenceNet { engine, scratch: InferScratch::new() }
     }
 
     /// Whether the CSR engine was selected.
@@ -292,32 +291,6 @@ impl InferenceNet {
         match &self.engine {
             Engine::Dense(m) => m.forward_one_into(x, &mut self.scratch),
             Engine::Sparse(s) => s.forward_one_into(x, &mut self.scratch),
-        }
-    }
-
-    /// Micro-batch inference for the decision-serving path: every row of
-    /// `x` is one request; `out` is reshaped to one output row per request.
-    ///
-    /// Bit-identical to calling [`InferenceNet::infer`] on each row in
-    /// order (proptest-enforced): the dense engine runs the batched
-    /// transposed-weight kernel ([`Mlp::forward_batch_into`]), which
-    /// accumulates over `k` in the same ascending order as the vector
-    /// kernel; the CSR engine has no batched kernel, so it runs the rows
-    /// through the single-sample path.
-    pub fn infer_batch_into(&mut self, x: &Matrix, out: &mut Matrix) {
-        match &self.engine {
-            Engine::Dense(m) => {
-                let y = m.forward_batch_into(x, &mut self.batch);
-                out.reshape(y.rows(), y.cols());
-                out.as_mut_slice().copy_from_slice(y.as_slice());
-            }
-            Engine::Sparse(s) => {
-                out.reshape(x.rows(), s.output_size());
-                for r in 0..x.rows() {
-                    let y = s.forward_one_into(x.row(r), &mut self.scratch);
-                    out.row_mut(r).copy_from_slice(y);
-                }
-            }
         }
     }
 }
@@ -382,29 +355,6 @@ mod tests {
         let net = InferenceNet::compile(&pruned);
         assert!(net.is_sparse(), "heavily pruned model compiles to CSR");
         assert_eq!(net.flops(), pruned.sparse_flops());
-    }
-
-    #[test]
-    fn infer_batch_matches_sequential_singles_on_both_engines() {
-        let rows: [&[f32]; 3] =
-            [&[0.7, -0.3, 0.9, -1.5, 0.2], &[0.0; 5], &[-2.0, 1.0, 0.5, 0.25, -0.125]];
-        let x = Matrix::from_rows(&rows);
-        for prune in [0.0, 0.8] {
-            let mut mlp = model();
-            if prune > 0.0 {
-                prune_magnitude(&mut mlp, prune);
-            }
-            let mut net = InferenceNet::compile(&mlp);
-            let mut out = Matrix::zeros(0, 0);
-            net.infer_batch_into(&x, &mut out);
-            assert_eq!((out.rows(), out.cols()), (3, net.output_size()));
-            for (r, row) in rows.iter().enumerate() {
-                assert_eq!(out.row(r), net.infer(row), "row {r} at prune {prune}");
-            }
-            // An empty batch reshapes the output and touches nothing else.
-            net.infer_batch_into(&Matrix::zeros(0, 5), &mut out);
-            assert_eq!(out.rows(), 0);
-        }
     }
 
     #[test]

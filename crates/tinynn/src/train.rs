@@ -185,45 +185,6 @@ impl Default for TrainScratch {
     }
 }
 
-/// Raw-pointer view of the shard slot pool handed to the worker closure.
-/// Mirrors the disjoint-slot pattern of `ssmdvfs::exec`: every shard index
-/// is claimed by exactly one worker, so the per-slot `&mut` handed out by
-/// [`ShardSlots::slot_ptr`] never aliases. The pool's completion handshake
-/// (mutex-protected shard counter) orders all slot writes before the
-/// caller's reduction reads.
-struct ShardSlots {
-    slots: *mut ShardScratch,
-    #[cfg(debug_assertions)]
-    len: usize,
-}
-
-// SAFETY: workers only touch disjoint slots (see above), and ShardScratch
-// itself is Send.
-unsafe impl Send for ShardSlots {}
-unsafe impl Sync for ShardSlots {}
-
-impl ShardSlots {
-    fn new(slots: &mut [ShardScratch]) -> ShardSlots {
-        ShardSlots {
-            slots: slots.as_mut_ptr(),
-            #[cfg(debug_assertions)]
-            len: slots.len(),
-        }
-    }
-
-    /// Pointer to slot `s`.
-    ///
-    /// # Safety
-    ///
-    /// `s` must be in bounds and dereferenced by at most one worker at a
-    /// time (guaranteed by the pool's claim counter).
-    unsafe fn slot_ptr(&self, s: usize) -> *mut ShardScratch {
-        #[cfg(debug_assertions)]
-        debug_assert!(s < self.len, "shard index out of bounds");
-        self.slots.add(s)
-    }
-}
-
 /// Grows the slot pool to at least `n` slots.
 fn ensure_slots(shards: &mut Vec<ShardScratch>, n: usize) {
     if shards.len() < n {
@@ -256,18 +217,13 @@ fn forward_gathered(
     let s_count = grad_shards(rows);
     ensure_slots(shards, s_count);
     out.reshape(rows, mlp.output_size());
-    {
-        let slots = ShardSlots::new(&mut shards[..s_count]);
-        pool.run(s_count, &|s| {
-            // SAFETY: the pool hands each shard index to exactly one worker.
-            let slot = unsafe { &mut *slots.slot_ptr(s) };
-            let (lo, hi) = shard_span(rows, s_count, s);
-            let input = slot.cache.input_mut();
-            input.reshape(hi - lo, x.cols());
-            input.as_mut_slice().copy_from_slice(&x.as_slice()[lo * x.cols()..hi * x.cols()]);
-            mlp.forward_cached(&mut slot.cache);
-        });
-    }
+    pool.for_each_mut(&mut shards[..s_count], |s, slot| {
+        let (lo, hi) = shard_span(rows, s_count, s);
+        let input = slot.cache.input_mut();
+        input.reshape(hi - lo, x.cols());
+        input.as_mut_slice().copy_from_slice(&x.as_slice()[lo * x.cols()..hi * x.cols()]);
+        mlp.forward_cached(&mut slot.cache);
+    });
     for (s, slot) in shards[..s_count].iter().enumerate() {
         let (lo, hi) = shard_span(rows, s_count, s);
         let o = slot.cache.output();
@@ -295,27 +251,22 @@ fn classifier_batch_step(
     let s_count = grad_shards(rows);
     let weighted =
         class_weights.map(|w| (w, mean_class_weight(batch.iter().map(|&i| train.y[i]), w)));
-    {
-        let slots = ShardSlots::new(&mut shards[..s_count]);
-        pool.run(s_count, &|s| {
-            // SAFETY: the pool hands each shard index to exactly one worker.
-            let slot = unsafe { &mut *slots.slot_ptr(s) };
-            let (lo, hi) = shard_span(rows, s_count, s);
-            let idx = &batch[lo..hi];
-            train.x.select_rows_into(idx, slot.cache.input_mut());
-            slot.y_cls.clear();
-            slot.y_cls.extend(idx.iter().map(|&i| train.y[i]));
-            mlp.forward_cached(&mut slot.cache);
-            let ShardScratch { cache, delta, delta_tmp, grads, y_cls, loss, .. } = slot;
-            *loss = match weighted {
-                Some((w, mean_w)) => {
-                    cross_entropy_weighted_shard_into(cache.output(), y_cls, w, mean_w, delta)
-                }
-                None => cross_entropy_shard_into(cache.output(), y_cls, delta),
-            };
-            mlp.backward_batch_shard_into(cache, delta, delta_tmp, grads);
-        });
-    }
+    pool.for_each_mut(&mut shards[..s_count], |s, slot| {
+        let (lo, hi) = shard_span(rows, s_count, s);
+        let idx = &batch[lo..hi];
+        train.x.select_rows_into(idx, slot.cache.input_mut());
+        slot.y_cls.clear();
+        slot.y_cls.extend(idx.iter().map(|&i| train.y[i]));
+        mlp.forward_cached(&mut slot.cache);
+        let ShardScratch { cache, delta, delta_tmp, grads, y_cls, loss, .. } = slot;
+        *loss = match weighted {
+            Some((w, mean_w)) => {
+                cross_entropy_weighted_shard_into(cache.output(), y_cls, w, mean_w, delta)
+            }
+            None => cross_entropy_shard_into(cache.output(), y_cls, delta),
+        };
+        mlp.backward_batch_shard_into(cache, delta, delta_tmp, grads);
+    });
     reduce_shards(&shards[..s_count], grads, rows);
     let loss_sum: f64 = shards[..s_count].iter().map(|s| s.loss).sum();
     (loss_sum / rows as f64) as f32
@@ -332,22 +283,17 @@ fn regressor_batch_step(
 ) -> f32 {
     let rows = batch.len();
     let s_count = grad_shards(rows);
-    {
-        let slots = ShardSlots::new(&mut shards[..s_count]);
-        pool.run(s_count, &|s| {
-            // SAFETY: the pool hands each shard index to exactly one worker.
-            let slot = unsafe { &mut *slots.slot_ptr(s) };
-            let (lo, hi) = shard_span(rows, s_count, s);
-            let idx = &batch[lo..hi];
-            train.x.select_rows_into(idx, slot.cache.input_mut());
-            slot.y_reg.clear();
-            slot.y_reg.extend(idx.iter().map(|&i| train.y[i]));
-            mlp.forward_cached(&mut slot.cache);
-            let ShardScratch { cache, delta, delta_tmp, grads, y_reg, loss, .. } = slot;
-            *loss = mse_shard_into(cache.output(), y_reg, delta);
-            mlp.backward_batch_shard_into(cache, delta, delta_tmp, grads);
-        });
-    }
+    pool.for_each_mut(&mut shards[..s_count], |s, slot| {
+        let (lo, hi) = shard_span(rows, s_count, s);
+        let idx = &batch[lo..hi];
+        train.x.select_rows_into(idx, slot.cache.input_mut());
+        slot.y_reg.clear();
+        slot.y_reg.extend(idx.iter().map(|&i| train.y[i]));
+        mlp.forward_cached(&mut slot.cache);
+        let ShardScratch { cache, delta, delta_tmp, grads, y_reg, loss, .. } = slot;
+        *loss = mse_shard_into(cache.output(), y_reg, delta);
+        mlp.backward_batch_shard_into(cache, delta, delta_tmp, grads);
+    });
     reduce_shards(&shards[..s_count], grads, rows);
     let loss_sum: f64 = shards[..s_count].iter().map(|s| s.loss).sum();
     (loss_sum / rows as f64) as f32

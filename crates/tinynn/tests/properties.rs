@@ -4,8 +4,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use tinynn::{
-    cross_entropy, prune_magnitude, prune_neurons, softmax, ForwardCache, InferScratch,
-    InferenceNet, Matrix, Mlp, Normalizer, ZeroMask,
+    cross_entropy, prune_magnitude, prune_neurons, softmax, ForwardCache, InferScratch, Matrix,
+    Mlp, Normalizer, ZeroMask,
 };
 
 fn arb_matrix(rows: usize, cols: usize) -> impl Strategy<Value = Matrix> {
@@ -166,38 +166,6 @@ proptest! {
         for r in 0..x.rows() {
             let one = mlp.forward_one_into(x.row(r), &mut scratch);
             prop_assert_eq!(one, batch.row(r), "row {}", r);
-        }
-    }
-
-    /// The serving micro-batch path is bit-identical to N sequential
-    /// single-request inferences, at any batch size (including 0) and on
-    /// both engines (dense and, after pruning, CSR). The serve layer
-    /// relies on this: batching requests must never change a decision.
-    #[test]
-    fn infer_batch_is_bit_identical_to_sequential_singles(
-        seed in any::<u64>(),
-        hidden in 1usize..16,
-        batch in 0usize..13,
-        frac in 0.0f32..0.9,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut mlp = Mlp::new(&[5, hidden, 4], &mut rng);
-        prune_magnitude(&mut mlp, frac);
-        let x = random_matrix(batch, 5, &mut rng);
-
-        let mut net = InferenceNet::compile(&mlp);
-        let mut out = Matrix::zeros(0, 0);
-        // Warm with a different batch size first: cache reuse across
-        // shapes must not leak stale activations into the next batch.
-        net.infer_batch_into(&random_matrix(batch + 3, 5, &mut rng), &mut out);
-        net.infer_batch_into(&x, &mut out);
-        prop_assert_eq!((out.rows(), out.cols()), (batch, 4));
-
-        let mut single = InferenceNet::compile(&mlp);
-        for r in 0..batch {
-            let want = single.infer(x.row(r));
-            let got = out.row(r);
-            prop_assert_eq!(got, want, "row {} (sparse: {})", r, net.is_sparse());
         }
     }
 }
