@@ -11,6 +11,16 @@ cargo fmt --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> cargo doc (no rustdoc warnings in workspace code)"
+# Any rustdoc warning located in a workspace crate or the umbrella crate
+# fails the step; the vendored stand-ins under vendor/ are out of scope.
+mkdir -p target
+cargo doc --workspace --no-deps 2> target/doc-warnings.log
+if grep -E -B1 -A1 '^ *--> (crates|src)/' target/doc-warnings.log; then
+  echo "error: rustdoc warnings in workspace code (see above)" >&2
+  exit 1
+fi
+
 echo "==> cargo build --release"
 cargo build --workspace --release
 
@@ -32,10 +42,9 @@ python3 - <<'EOF'
 import json
 b = json.load(open("target/ssmdvfs-artifacts/BENCH_train.json"))
 for key in ("epochs_per_sec", "parallel_epochs_per_sec", "train_speedup",
-            "rfe_serial_secs", "rfe_parallel_secs",
-            "infer_dense_ns", "infer_engine_ns", "infer_quantized_ns"):
+            "rfe_serial_secs", "rfe_parallel_secs"):
     assert b[key] > 0, (key, b)
-assert b["smoke"] is True and b["engine_sparse"] is True, b
+assert b["smoke"] is True, b
 assert b["parallel_identical"] is True, "parallel SGD diverged from serial"
 assert b["grad_shards_per_batch"] > 1, b
 # The >=1.3x speedup gate only means something when the container actually
@@ -92,11 +101,11 @@ cargo run --release -p ssmdvfs-bench --bin perf_baseline -- --smoke --decide
 python3 - <<'EOF'
 import json
 b = json.load(open("target/ssmdvfs-artifacts/BENCH_decide.json"))
-for key in ("kernel_dense_ns", "kernel_csr_ns", "kernel_int8_ns",
-            "reference_decision_ns", "plan_decision_ns", "plan_quantized_ns",
-            "plan_memo_hit_ns", "memo_hit_rate"):
+for key in ("kernel_dense_ns", "kernel_int8_ns",
+            "reference_decision_ns", "plan_decision_ns", "plan_sparse_decision_ns",
+            "plan_quantized_ns", "plan_memo_hit_ns", "memo_hit_rate"):
     assert b[key] > 0, (key, b)
-assert b["smoke"] is True and b["kernel_csr_sparse"] is True, b
+assert b["smoke"] is True and b["plan_sparse"] is True, b
 assert b["decisions_identical"] is True, "plan/memo/reference decisions diverged"
 assert b["plan_decision_ns"] < b["reference_decision_ns"], \
     f"fused plan must beat the unfused reference path: {b}"
@@ -105,9 +114,10 @@ assert b["kernel_int8_ns"] < b["kernel_dense_ns"], \
 assert b["plan_memo_hit_ns"] < b["plan_decision_ns"], b
 assert b["memo_hits"] > 0, "phase-structured replay produced no memo hits"
 print(f"decide baseline: kernels {b['kernel_dense_ns']:.0f}/"
-      f"{b['kernel_csr_ns']:.0f}/{b['kernel_int8_ns']:.0f} ns dense/csr/int8; "
+      f"{b['kernel_int8_ns']:.0f} ns dense/int8; "
       f"decision {b['reference_decision_ns']:.0f} ns reference -> "
-      f"{b['plan_decision_ns']:.0f} ns plan, {b['plan_memo_hit_ns']:.0f} ns "
+      f"{b['plan_decision_ns']:.0f} ns plan, "
+      f"{b['plan_sparse_decision_ns']:.0f} ns csr plan, {b['plan_memo_hit_ns']:.0f} ns "
       f"memo hit ({b['memo_hit_rate']*100:.1f}% hit rate, identical)")
 EOF
 

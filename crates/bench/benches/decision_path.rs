@@ -1,16 +1,23 @@
-//! Single-decision latency of the compiled fast path — the criterion
-//! counterpart of `perf_baseline --decide`.
+//! Single-decision latency — the criterion counterpart of
+//! `perf_baseline --decide`.
 //!
 //! Compares the unfused reference (allocating `CombinedModel` methods, the
-//! pre-plan governor arithmetic) against the fused [`DecisionPlan`] in its
-//! exact-f32, quantized-INT8, and memo-hit configurations. The paper's
-//! microsecond-scale epoch budget leaves roughly 1 µs for the whole control
-//! step; every variant here must sit far inside that.
+//! oracle the plan is pinned to) against the fused [`DecisionPlan`] — the
+//! one single-sample inference path — on the synthetic model, on the
+//! paper's full architecture and on its pruned compressed architecture
+//! (CSR heads), in its quantized-INT8 and memo-hit configurations, plus the
+//! two head kernels underneath (dense `Mlp::forward_one_into` and
+//! `Int8Net::infer`). The paper's microsecond-scale epoch budget leaves
+//! roughly 1 µs for the whole control step; every variant here must sit
+//! far inside that.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gpu_sim::{CounterId, EpochCounters, GpuConfig};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use ssmdvfs::plan::DecisionPlan;
-use ssmdvfs::{CombinedModel, SsmdvfsConfig};
+use ssmdvfs::{CombinedModel, FeatureSet, ModelArch, SsmdvfsConfig};
+use tinynn::{prune_two_stage, InferScratch, Int8Net, Matrix, Mlp, Normalizer};
 
 fn counters(instrs: f64, stall_frac: f64) -> EpochCounters {
     let mut c = EpochCounters::zeroed();
@@ -24,17 +31,41 @@ fn counters(instrs: f64, stall_frac: f64) -> EpochCounters {
     c
 }
 
+/// A randomly initialized model of the given paper architecture.
+fn model_for(arch: &ModelArch, num_ops: usize) -> CombinedModel {
+    let fs = FeatureSet::refined();
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut dec_sizes = vec![fs.len() + 1];
+    dec_sizes.extend(&arch.decision_hidden);
+    dec_sizes.push(num_ops);
+    let mut cal_sizes = vec![fs.len() + 2];
+    cal_sizes.extend(&arch.calibrator_hidden);
+    cal_sizes.push(1);
+    CombinedModel {
+        decision: Mlp::new(&dec_sizes, &mut rng),
+        calibrator: Mlp::new(&cal_sizes, &mut rng),
+        feature_set: fs.clone(),
+        decision_norm: Normalizer::fit(&Matrix::zeros(4, fs.len() + 1)),
+        calibrator_norm: Normalizer::fit(&Matrix::zeros(4, fs.len() + 2)),
+        instr_scale: 1000.0,
+        num_ops,
+    }
+}
+
 fn bench_decision_path(c: &mut Criterion) {
     let table = GpuConfig::small_test().vf_table;
     let model = CombinedModel::synthetic(table.len(), 7);
+    let full = model_for(&ModelArch::paper_full(), table.len());
+    let mut compressed = model_for(&ModelArch::paper_compressed(), table.len());
+    compressed.decision = prune_two_stage(&compressed.decision, 0.6, 0.9);
+    compressed.calibrator = prune_two_stage(&compressed.calibrator, 0.6, 0.9);
     let config = SsmdvfsConfig::new(0.1);
     let active = counters(9_000.0, 0.05);
     let starved = counters(400.0, 0.9);
 
     let mut group = c.benchmark_group("decision_path");
 
-    // Unfused reference: the allocating model methods, as the governor ran
-    // them before the plan existed.
+    // Unfused reference: the allocating model methods.
     group.bench_function("reference_unfused", |b| {
         let features = model.feature_set.extract(&active);
         b.iter(|| {
@@ -46,17 +77,24 @@ fn bench_decision_path(c: &mut Criterion) {
 
     // Fused exact plan, memo disabled: alternate two distinct epochs so
     // every iteration does the full feature → heads → decode pipeline.
-    group.bench_function("plan_exact", |b| {
-        let mut plan = DecisionPlan::compile(&model, &config);
+    for (name, model, sparse) in [
+        ("plan_exact", &model, false),
+        ("plan_paper_full", &full, false),
+        ("plan_paper_compressed_csr", &compressed, true),
+    ] {
+        let mut plan = DecisionPlan::compile(model, &config);
+        assert_eq!(plan.decision_is_sparse() && plan.calibrator_is_sparse(), sparse, "{name}");
         plan.set_memo(false);
         let mut slot = plan.new_slot();
         let mut flip = false;
-        b.iter(|| {
-            flip = !flip;
-            let c = if flip { &active } else { &starved };
-            plan.decide_slot(&mut slot, c, table.len()).op
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                flip = !flip;
+                let c = if flip { &active } else { &starved };
+                plan.decide_slot(&mut slot, c, table.len()).op
+            });
         });
-    });
+    }
 
     // Fused quantized plan: INT8 head kernels, same fused surroundings.
     group.bench_function("plan_quantized", |b| {
@@ -81,5 +119,21 @@ fn bench_decision_path(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_decision_path);
+/// The head kernels under the plan, on the compressed decision head's
+/// [6, 12, 12, 6] shape: the dense f32 forward (the plan's exact-path
+/// arithmetic) and the INT8 kernel behind `decide_slot_quantized`.
+fn bench_head_kernels(c: &mut Criterion) {
+    let mut rng = StdRng::seed_from_u64(11);
+    let mlp = Mlp::new(&[6, 12, 12, 6], &mut rng);
+    let mut int8 = Int8Net::compile(&mlp);
+    let x = [0.4f32, -0.2, 1.1, 0.3, -0.8, 0.1];
+    let mut scratch = InferScratch::new();
+
+    let mut group = c.benchmark_group("decision_path/head_kernel");
+    group.bench_function("dense", |bch| bch.iter(|| mlp.forward_one_into(&x, &mut scratch)[0]));
+    group.bench_function("int8", |bch| bch.iter(|| int8.infer(&x)[0]));
+    group.finish();
+}
+
+criterion_group!(benches, bench_decision_path, bench_head_kernels);
 criterion_main!(benches);

@@ -1,5 +1,6 @@
-//! Simulation-engine microbenches: naive-tick vs cycle-skip epoch stepping
-//! on a memory-bound workload (where whole-SM stalls make skipping pay),
+//! Simulator microbenches: naive-tick vs cycle-skip epoch stepping and full
+//! runs on a memory-bound workload (where whole-SM stalls make skipping
+//! pay), the default engine on a compute-bound epoch and a scaled full run,
 //! and snapshot/restore cost now that the immutable state is `Arc`-shared.
 //!
 //! The companion binary `perf_baseline --sim` records the same comparison
@@ -9,8 +10,8 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use gpu_sim::{EngineMode, GpuConfig, Simulation, StaticGovernor, Time};
 use gpu_workloads::by_name;
 
-fn engine_sim(cfg: &GpuConfig, mode: EngineMode) -> Simulation {
-    let bench = by_name("lbm").expect("lbm exists").scaled(0.1);
+fn engine_sim(cfg: &GpuConfig, name: &str, mode: EngineMode) -> Simulation {
+    let bench = by_name(name).expect("benchmark exists").scaled(0.1);
     let mut sim = Simulation::new(cfg.clone(), bench.workload().clone());
     sim.set_engine(mode);
     sim
@@ -21,13 +22,15 @@ fn bench_engine_modes(c: &mut Criterion) {
     let ops = vec![cfg.vf_table.default_index(); cfg.num_clusters];
     let mut group = c.benchmark_group("sim_core/epoch_step");
     group.sample_size(20);
-    for (name, mode) in
-        [("naive_tick", EngineMode::NaiveTick), ("cycle_skip", EngineMode::CycleSkip)]
-    {
+    for (name, bench, mode) in [
+        ("naive_tick", "lbm", EngineMode::NaiveTick),
+        ("cycle_skip", "lbm", EngineMode::CycleSkip),
+        ("cycle_skip_gemm", "gemm", EngineMode::CycleSkip),
+    ] {
         group.bench_function(name, |b| {
             b.iter_batched(
                 || {
-                    let mut sim = engine_sim(&cfg, mode);
+                    let mut sim = engine_sim(&cfg, bench, mode);
                     // Warm one epoch so caches are realistic.
                     sim.step_epoch(&ops);
                     sim
@@ -52,7 +55,7 @@ fn bench_engine_full_run(c: &mut Criterion) {
     {
         group.bench_function(name, |b| {
             b.iter(|| {
-                let mut sim = engine_sim(&cfg, mode);
+                let mut sim = engine_sim(&cfg, "lbm", mode);
                 let mut governor = StaticGovernor::default_point(&cfg.vf_table);
                 let r = sim.run(&mut governor, Time::from_micros(50_000.0));
                 assert!(r.completed);
@@ -60,13 +63,23 @@ fn bench_engine_full_run(c: &mut Criterion) {
             });
         });
     }
+    let spmv = by_name("spmv").expect("spmv exists").scaled(0.05);
+    group.bench_function("spmv_scaled", |b| {
+        b.iter(|| {
+            let mut sim = Simulation::new(cfg.clone(), spmv.workload().clone());
+            let mut governor = StaticGovernor::default_point(&cfg.vf_table);
+            let r = sim.run(&mut governor, Time::from_micros(20_000.0));
+            assert!(r.completed);
+            r.instructions
+        });
+    });
     group.finish();
 }
 
 fn bench_snapshot_restore(c: &mut Criterion) {
     let cfg = GpuConfig::small_test();
     let ops = vec![cfg.vf_table.default_index(); cfg.num_clusters];
-    let mut sim = engine_sim(&cfg, EngineMode::CycleSkip);
+    let mut sim = engine_sim(&cfg, "lbm", EngineMode::CycleSkip);
     for _ in 0..20 {
         if sim.is_complete() {
             break;

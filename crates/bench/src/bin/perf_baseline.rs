@@ -8,9 +8,8 @@
 //!   `BENCH_datagen.json`.
 //! * `--train`: training-loop throughput (epochs/sec on the paper-full
 //!   decision head, serial vs the 4-job sharded-gradient engine with a
-//!   byte-identity check), RFE wall-clock at 1 vs 8 workers, and single-inference
-//!   latency of the compressed 5×12 net (dense vs compiled engine vs
-//!   quantized), written to `BENCH_train.json`.
+//!   byte-identity check) and RFE wall-clock at 1 vs 8 workers, written to
+//!   `BENCH_train.json`.
 //! * `--sim`: simulation-engine throughput — naive-tick vs cycle-skip
 //!   cycles/sec on a memory-bound workload (byte-identical results, checked
 //!   here too), `Arc`-shared snapshot cost, and replay-cache cold vs warm
@@ -19,12 +18,12 @@
 //!   service at `--max-batch 1` (single-request baseline) vs `32`, with
 //!   p50/p99 decision latency, batch occupancy and a decision-stream
 //!   identity check between the two modes — written to `BENCH_serve.json`.
-//! * `--decide`: single-decision latency — ns/inference for the dense, CSR
-//!   and INT8 kernels on the compressed decision head, ns/decision for the
-//!   unfused reference path vs the compiled `DecisionPlan` (exact, INT8 and
-//!   memo-hit variants), plus the memo hit rate and a decision-stream
-//!   identity check on a phase-structured replay — written to
-//!   `BENCH_decide.json`.
+//! * `--decide`: single-decision latency — ns/inference for the dense and
+//!   INT8 head kernels on the compressed decision head, ns/decision for the
+//!   unfused reference path vs the compiled `DecisionPlan` (exact, CSR on
+//!   80 %-pruned heads, INT8 and memo-hit variants), plus the memo hit rate
+//!   and a decision-stream identity check on a phase-structured replay —
+//!   written to `BENCH_decide.json`.
 //!
 //! All JSON files land in the artifact directory so CI can diff runs.
 //! Pass `--smoke` (or set `SSMDVFS_SMOKE=1`) for a seconds-long run on
@@ -47,8 +46,8 @@ use ssmdvfs::{
 use ssmdvfs_bench::artifacts_dir;
 use tinynn::{
     effective_jobs, grad_shards, prune_magnitude, train_classifier_parallel_with,
-    train_classifier_with, ClassificationData, InferScratch, InferenceNet, Int8Net, Matrix, Mlp,
-    QuantizedMlp, TrainConfig, TrainPool, TrainScratch,
+    train_classifier_with, ClassificationData, InferScratch, Int8Net, Matrix, Mlp, TrainConfig,
+    TrainPool, TrainScratch,
 };
 
 #[derive(Serialize)]
@@ -96,14 +95,6 @@ struct TrainBaseline {
     rfe_serial_secs: f64,
     rfe_parallel_secs: f64,
     rfe_speedup: f64,
-    /// ns per single-sample forward through the compressed 5×12 decision
-    /// head: dense `Mlp`, compiled `InferenceNet` on the pruned net, and
-    /// the int8 `QuantizedMlp`.
-    infer_dense_ns: f64,
-    infer_engine_ns: f64,
-    infer_quantized_ns: f64,
-    /// Whether the pruned engine compiled to the CSR sparse path.
-    engine_sparse: bool,
 }
 
 #[derive(Serialize)]
@@ -432,39 +423,6 @@ fn time_rfe(smoke: bool, jobs: usize) -> (usize, usize, f64, f64) {
     (n, repeats, serial_secs, parallel_secs)
 }
 
-fn time_inference(smoke: bool) -> (f64, f64, f64, bool) {
-    let iters = if smoke { 20_000 } else { 2_000_000 };
-    let mut rng = StdRng::seed_from_u64(7);
-    // Compressed decision head: 5 features + preset in, 12/12 hidden.
-    let mlp = Mlp::new(&[6, 12, 12, 6], &mut rng);
-    let x = [0.4f32, -0.2, 1.1, 0.3, -0.8, 0.1];
-
-    let mut scratch = InferScratch::new();
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(mlp.forward_one_into(std::hint::black_box(&x), &mut scratch));
-    }
-    let dense_ns = t0.elapsed().as_secs_f64() * 1e9 / iters as f64;
-
-    let mut pruned = mlp.clone();
-    prune_magnitude(&mut pruned, 0.8);
-    let mut engine = InferenceNet::compile(&pruned);
-    let engine_sparse = engine.is_sparse();
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(engine.infer(std::hint::black_box(&x)));
-    }
-    let engine_ns = t0.elapsed().as_secs_f64() * 1e9 / iters as f64;
-
-    let quant = QuantizedMlp::quantize(&mlp);
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        std::hint::black_box(quant.forward_one_into(std::hint::black_box(&x), &mut scratch));
-    }
-    let quant_ns = t0.elapsed().as_secs_f64() * 1e9 / iters as f64;
-    (dense_ns, engine_ns, quant_ns, engine_sparse)
-}
-
 fn run_train(smoke: bool) {
     let workers = effective_jobs(0);
     let rfe_jobs = 8;
@@ -477,9 +435,6 @@ fn run_train(smoke: bool) {
     eprintln!("[perf_baseline] rfe wall-clock at 1 vs {rfe_jobs} workers");
     let (rfe_samples, rfe_importance_repeats, rfe_serial_secs, rfe_parallel_secs) =
         time_rfe(smoke, rfe_jobs);
-    eprintln!("[perf_baseline] single-inference latency of the compressed net");
-    let (infer_dense_ns, infer_engine_ns, infer_quantized_ns, engine_sparse) =
-        time_inference(smoke);
 
     let baseline = TrainBaseline {
         smoke,
@@ -498,10 +453,6 @@ fn run_train(smoke: bool) {
         rfe_serial_secs,
         rfe_parallel_secs,
         rfe_speedup: rfe_serial_secs / rfe_parallel_secs,
-        infer_dense_ns,
-        infer_engine_ns,
-        infer_quantized_ns,
-        engine_sparse,
     };
     assert!(
         baseline.parallel_identical,
@@ -512,7 +463,7 @@ fn run_train(smoke: bool) {
     std::fs::write(&path, &json).expect("baseline must be writable");
     println!("{json}");
     println!(
-        "[perf_baseline] {:.1} epochs/s serial vs {:.1} at {} jobs ({:.2}x, {} shards/batch, identical={}); RFE {:.2}s serial vs {:.2}s at {} workers ({:.2}x); inference {:.0} ns dense / {:.0} ns engine / {:.0} ns quantized -> {}",
+        "[perf_baseline] {:.1} epochs/s serial vs {:.1} at {} jobs ({:.2}x, {} shards/batch, identical={}); RFE {:.2}s serial vs {:.2}s at {} workers ({:.2}x) -> {}",
         baseline.epochs_per_sec,
         baseline.parallel_epochs_per_sec,
         train_jobs,
@@ -523,9 +474,6 @@ fn run_train(smoke: bool) {
         baseline.rfe_parallel_secs,
         rfe_jobs,
         baseline.rfe_speedup,
-        baseline.infer_dense_ns,
-        baseline.infer_engine_ns,
-        baseline.infer_quantized_ns,
         path.display()
     );
 }
@@ -695,14 +643,10 @@ struct DecideBaseline {
     /// Timed iterations per measurement (each taken as the best of several
     /// rounds to shed scheduler noise).
     iters: usize,
-    /// ns per single forward through the compressed [6,12,12,6] decision
-    /// head: the dense `Mlp`, the CSR engine on the 80 %-pruned net (the
-    /// same measurement BENCH_train tracks) and the flat-arena INT8 kernel.
+    /// ns per single forward through the compressed `[6, 12, 12, 6]` decision
+    /// head: the dense `Mlp` and the flat-arena INT8 kernel.
     kernel_dense_ns: f64,
-    kernel_csr_ns: f64,
     kernel_int8_ns: f64,
-    /// Whether the pruned head actually compiled to the CSR program.
-    kernel_csr_sparse: bool,
     /// ns per complete governor decision (feature extraction, calibration,
     /// both heads, decode) through the unfused allocating model-method
     /// path — what every decision cost before the compiled plan.
@@ -710,6 +654,10 @@ struct DecideBaseline {
     /// Same complete decision through the compiled `DecisionPlan` arena
     /// (exact f32 programs, memo disabled).
     plan_decision_ns: f64,
+    /// The same plan decision on a model whose heads are 80 %-pruned.
+    plan_sparse_decision_ns: f64,
+    /// Whether both pruned heads compiled to the CSR program.
+    plan_sparse: bool,
     /// The fused decision on the INT8 datapath
     /// (`DecisionPlan::decide_slot_quantized`).
     plan_quantized_ns: f64,
@@ -822,13 +770,6 @@ fn run_decide(smoke: bool) {
     let kernel_dense_ns = best_ns(iters, rounds, || {
         std::hint::black_box(mlp.forward_one_into(std::hint::black_box(&x), &mut scratch));
     });
-    let mut pruned = mlp.clone();
-    prune_magnitude(&mut pruned, 0.8);
-    let mut engine = InferenceNet::compile(&pruned);
-    let kernel_csr_sparse = engine.is_sparse();
-    let kernel_csr_ns = best_ns(iters, rounds, || {
-        std::hint::black_box(engine.infer(std::hint::black_box(&x)));
-    });
     let mut int8 = Int8Net::compile(&mlp);
     let kernel_int8_ns = best_ns(iters, rounds, || {
         std::hint::black_box(int8.infer(std::hint::black_box(&x)));
@@ -853,6 +794,20 @@ fn run_decide(smoke: bool) {
     let plan_decision_ns = best_ns(decision_iters, rounds, || {
         std::hint::black_box(plan.decide_slot(
             &mut slot,
+            std::hint::black_box(&active),
+            table.len(),
+        ));
+    });
+    let mut pruned = model.clone();
+    prune_magnitude(&mut pruned.decision, 0.8);
+    prune_magnitude(&mut pruned.calibrator, 0.8);
+    let mut sparse_plan = DecisionPlan::compile(&pruned, &config);
+    sparse_plan.set_memo(false);
+    let plan_sparse = sparse_plan.decision_is_sparse() && sparse_plan.calibrator_is_sparse();
+    let mut sparse_slot = sparse_plan.new_slot();
+    let plan_sparse_decision_ns = best_ns(decision_iters, rounds, || {
+        std::hint::black_box(sparse_plan.decide_slot(
+            &mut sparse_slot,
             std::hint::black_box(&active),
             table.len(),
         ));
@@ -900,11 +855,11 @@ fn run_decide(smoke: bool) {
         smoke,
         iters,
         kernel_dense_ns,
-        kernel_csr_ns,
         kernel_int8_ns,
-        kernel_csr_sparse,
         reference_decision_ns,
         plan_decision_ns,
+        plan_sparse_decision_ns,
+        plan_sparse,
         plan_quantized_ns,
         plan_memo_hit_ns,
         replay_epochs,
@@ -932,12 +887,12 @@ fn run_decide(smoke: bool) {
     std::fs::write(&path, &json).expect("baseline must be writable");
     println!("{json}");
     println!(
-        "[perf_baseline] kernels {:.0}/{:.0}/{:.0} ns dense/csr/int8; decision {:.0} ns reference -> {:.0} ns plan / {:.0} ns int8-plan / {:.0} ns memo-hit; hit rate {:.1}% over {} epochs, identical={} -> {}",
+        "[perf_baseline] kernels {:.0}/{:.0} ns dense/int8; decision {:.0} ns reference -> {:.0} ns plan / {:.0} ns csr-plan / {:.0} ns int8-plan / {:.0} ns memo-hit; hit rate {:.1}% over {} epochs, identical={} -> {}",
         baseline.kernel_dense_ns,
-        baseline.kernel_csr_ns,
         baseline.kernel_int8_ns,
         baseline.reference_decision_ns,
         baseline.plan_decision_ns,
+        baseline.plan_sparse_decision_ns,
         baseline.plan_quantized_ns,
         baseline.plan_memo_hit_ns,
         baseline.memo_hit_rate * 100.0,

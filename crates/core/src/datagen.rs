@@ -641,7 +641,7 @@ pub struct SuiteOutcome {
 ///
 /// Phase 1 (reference timelines) is recomputed deterministically even on
 /// resume — it is cheap relative to phase 2 and seeds identical
-/// [`ReplaySpec`]s, which is what makes journaled and fresh results
+/// `ReplaySpec`s, which is what makes journaled and fresh results
 /// interchangeable. Phase 2 jobs found in `options.completed` are skipped;
 /// the rest run on the pool, each passing the fail-point site
 /// `"datagen.replay"` (keyed by global job index) on entry and appending to

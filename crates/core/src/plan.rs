@@ -1,26 +1,31 @@
-//! The compiled single-decision fast path.
+//! The compiled single-decision path — the workspace's one single-sample
+//! inference path.
 //!
-//! [`SsmdvfsGovernor`](crate::SsmdvfsGovernor)'s per-epoch hot path used to
-//! thread each decision through several independently allocated pieces — a
-//! feature buffer, two [`Normalizer`]s, two compiled
-//! [`InferenceNet`](tinynn::InferenceNet)s with their own ping-pong scratch,
-//! and decode buffers. A [`DecisionPlan`] fuses all of it at governor
-//! construction into one flat preplanned arena: a single contiguous `f32`
-//! allocation holding the normalizer constants, both heads' weights and
-//! biases (dense row-major, or CSR values when pruning left a head mostly
-//! zeros) and every scratch slot the decision needs, with all layer offsets
-//! precomputed. A decision then runs branchless inner loops over that one
-//! allocation — no per-decision heap traffic, no pointer chasing between
-//! model pieces.
+//! Every production decision — [`SsmdvfsGovernor`](crate::SsmdvfsGovernor)'s
+//! per-epoch hot path, the [`serve`](crate::serve) shards and the gpu-sim
+//! fleets they answer — runs through a [`DecisionPlan`]. It fuses feature
+//! extraction, both [`Normalizer`]s, both model heads, the operating-point
+//! decode and the self-calibration update at governor construction into
+//! one flat preplanned arena: a single contiguous `f32` allocation holding
+//! the normalizer constants, both heads' weights and biases and every
+//! scratch slot the decision needs, with all layer offsets precomputed.
+//! Each head compiles either to dense row-major weights or, when pruning
+//! left it below half density, to a CSR program read straight from
+//! [`SparseMlp`]'s value, row-pointer and column-index arrays; this module
+//! is the only place that makes that choice. A decision then runs
+//! branchless inner loops over that one allocation — no per-decision heap
+//! traffic, no pointer chasing between model pieces.
 //!
 //! Two properties are load-bearing and test-enforced:
 //!
 //! * **Bit-identity.** The plan replicates the exact arithmetic of the
-//!   engine path it replaces — same feature extraction, same `(x - mean) /
-//!   std` normalization, same ascending-`k` dense accumulation, same
-//!   ascending-column CSR accumulation, same softmax/ordinal decode, same
-//!   `f64` calibration update. The decision stream is byte-identical to the
-//!   pre-plan governor (proptest-enforced in `tests/plan_equivalence.rs`).
+//!   reference oracle — the allocating [`CombinedModel`] methods (built on
+//!   `Mlp::forward_one`) plus the calibration update — same feature
+//!   extraction, same `(x - mean) / std` normalization, same ascending-`k`
+//!   dense accumulation (CSR skips only exact-zero terms, in the same
+//!   column order), same softmax/ordinal decode, same `f64` calibration
+//!   update. The decision stream is byte-identical to that oracle
+//!   (proptest-enforced in `tests/plan_equivalence.rs`).
 //! * **Memoization is invisible.** The per-cluster memo (see below) only
 //!   ever replays a decision whose *entire* input — feature bits, actual
 //!   instruction count, starvation flag, pre-decision calibration state and
@@ -43,23 +48,32 @@
 //! # Quantized path
 //!
 //! The plan also compiles both heads to [`Int8Net`] — the flat-arena INT8
-//! engine whose i32-accumulating kernel is the fastest single-decision path
-//! in `BENCH_decide` — reachable through
+//! engine whose i32-accumulating kernel is the fastest head kernel in
+//! `BENCH_decide` — reachable through
 //! [`DecisionPlan::decide_slot_quantized`]. It runs the same fused decision
-//! (features, calibration, decode) but infers through the integer datapath,
-//! so its decisions match the exact path only up to activation-quantization
-//! error; deployments take it for latency, the default exact path for
-//! bit-stable replays.
+//! (features, the one calibration update, the one decode) but infers
+//! through the integer datapath, so its decisions match the exact path only
+//! up to activation-quantization error; deployments take it for latency,
+//! the default exact path for bit-stable replays.
+//!
+//! # Bad telemetry
+//!
+//! An epoch whose instruction count is non-finite or negative cannot be
+//! judged against the outstanding prediction, so the calibration update
+//! skips it: the slot's [`CalState`] is left untouched and the
+//! `decide.bad_input` counter is incremented. Without the guard one NaN
+//! `TotalInstrs` would turn the error EWMA into NaN for good, and the
+//! cluster could never tighten its preset again.
 
 use gpu_sim::{CounterId, EpochCounters};
-use tinynn::{Activation, Int8Net, Mlp, Normalizer, QuantizedMlp, SparseMlp};
+use tinynn::{Activation, Int8Net, Mlp, Normalizer, SparseMlp};
 
 use crate::controller::SsmdvfsConfig;
 use crate::model::CombinedModel;
 
-/// Density below which a head compiles to the CSR program — the same
-/// threshold [`tinynn::InferenceNet::compile`] uses, so the plan always
-/// picks the engine the governor would have.
+/// Whole-head weight density below which a head compiles to the CSR
+/// program: at half density the skipped multiplies outweigh the index
+/// indirection.
 const SPARSE_DENSITY_THRESHOLD: f64 = 0.5;
 
 /// One fused layer inside the arena program.
@@ -98,9 +112,8 @@ struct HeadProgram {
     output_size: usize,
 }
 
-/// Per-cluster self-calibration state — the plan-side spelling of the
-/// governor's historical `ClusterState`, updated with identical `f64`
-/// arithmetic.
+/// Per-cluster self-calibration state, updated once per judged epoch by
+/// the plan's calibration step.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CalState {
     /// The preset the Decision-maker currently sees (tightened below the
@@ -231,20 +244,66 @@ pub struct DecisionPlan {
     num_ops: usize,
     instr_scale: f32,
     cal_op_denom: f32,
+    cal: Calibration,
+    argmax_decode: bool,
+    memo: bool,
+}
+
+/// The controller's self-calibration constants, copied from
+/// [`SsmdvfsConfig`] at compile time.
+#[derive(Debug, Clone, Copy)]
+struct Calibration {
+    enabled: bool,
     preset: f64,
     gain: f64,
     recovery: f64,
     min_preset: f64,
     deadband: f64,
-    calibration: bool,
-    argmax_decode: bool,
-    memo: bool,
+}
+
+impl Calibration {
+    /// The one self-calibration step, on the epoch that just ended: judge
+    /// the prediction outstanding for it against its `actual` instruction
+    /// count, fold the relative shortfall into the error EWMA, then tighten
+    /// the effective preset while the EWMA sits above the deadband (the
+    /// cluster runs persistently slower than the preset expects) and relax
+    /// it toward the configured preset otherwise.
+    ///
+    /// Skipped when calibration is off, on starved epochs (an instruction
+    /// shortfall there signals missing work, not a slow clock), before the
+    /// first prediction, and on bad telemetry (see the module docs).
+    #[inline]
+    fn update(&self, state: &mut CalState, actual: f64, starved: bool) {
+        if !self.enabled || starved {
+            return;
+        }
+        let Some(predicted) = state.predicted_instructions else {
+            return;
+        };
+        let actual_f32 = actual as f32;
+        if !(actual >= 0.0 && actual_f32.is_finite()) {
+            obs::counter!("decide.bad_input").inc(1);
+            return;
+        }
+        if predicted > 0.0 {
+            let rel_err = f64::from((predicted - actual_f32) / predicted);
+            state.err_ewma = 0.7 * state.err_ewma + 0.3 * rel_err;
+            if state.err_ewma > self.deadband {
+                state.effective_preset = (state.effective_preset
+                    - self.gain * (state.err_ewma - self.deadband) * self.preset)
+                    .max(self.min_preset);
+            } else {
+                state.effective_preset =
+                    (state.effective_preset + self.recovery * self.preset).min(self.preset);
+            }
+        }
+    }
 }
 
 impl DecisionPlan {
-    /// Compiles the model and controller config into a fused plan. Engine
-    /// selection matches [`tinynn::InferenceNet::compile`] per head: CSR
-    /// below half density, branch-free dense otherwise.
+    /// Compiles the model and controller config into a fused plan. Each
+    /// head compiles to CSR below half density and to branch-free dense
+    /// otherwise.
     pub fn compile(model: &CombinedModel, config: &SsmdvfsConfig) -> DecisionPlan {
         let f = model.feature_set.len();
         let mut arena: Vec<f32> = Vec::new();
@@ -289,8 +348,8 @@ impl DecisionPlan {
             idx,
             decision,
             calibrator,
-            int8_decision: Int8Net::from_quantized(&QuantizedMlp::quantize(&model.decision)),
-            int8_calibrator: Int8Net::from_quantized(&QuantizedMlp::quantize(&model.calibrator)),
+            int8_decision: Int8Net::compile(&model.decision),
+            int8_calibrator: Int8Net::compile(&model.calibrator),
             feature_ids: model.feature_set.counters().to_vec(),
             dec_mean,
             dec_std,
@@ -307,12 +366,14 @@ impl DecisionPlan {
             num_ops: model.num_ops,
             instr_scale: model.instr_scale,
             cal_op_denom: (model.num_ops.max(2) - 1) as f32,
-            preset: config.preset,
-            gain: config.gain,
-            recovery: config.recovery,
-            min_preset: config.min_preset,
-            deadband: config.deadband,
-            calibration: config.calibration,
+            cal: Calibration {
+                enabled: config.calibration,
+                preset: config.preset,
+                gain: config.gain,
+                recovery: config.recovery,
+                min_preset: config.min_preset,
+                deadband: config.deadband,
+            },
             argmax_decode: config.argmax_decode,
             memo: true,
         }
@@ -322,7 +383,7 @@ impl DecisionPlan {
     pub fn new_slot(&self) -> ClusterSlot {
         ClusterSlot {
             state: CalState {
-                effective_preset: self.preset,
+                effective_preset: self.cal.preset,
                 predicted_instructions: None,
                 err_ewma: 0.0,
             },
@@ -353,7 +414,7 @@ impl DecisionPlan {
     }
 
     /// FLOPs of one Decision-maker inference on the compiled program
-    /// (sparse-aware, matching [`tinynn::InferenceNet::flops`]).
+    /// (sparse-aware: stored weights only when the head compiled to CSR).
     pub fn decision_flops(&self) -> u64 {
         self.decision.flops
     }
@@ -386,8 +447,8 @@ impl DecisionPlan {
     /// One fused decision for `slot`: feature extraction, calibration
     /// update, Decision-maker inference + decode, Calibrator prediction —
     /// all inside the preplanned arena, memo-short-circuited when the epoch
-    /// bit-exactly repeats the previous one. Byte-identical to the unfused
-    /// engine path.
+    /// bit-exactly repeats the previous one. Byte-identical to the
+    /// allocating [`CombinedModel`] method oracle.
     ///
     /// # Panics
     ///
@@ -430,7 +491,7 @@ impl DecisionPlan {
             // the key — this is what lets steady starved phases hit from
             // their second epoch on.
             let pred_matches =
-                starved || !self.calibration || m.pre_pred_bits == prev_predicted.map(f32::to_bits);
+                starved || !self.cal.enabled || m.pre_pred_bits == prev_predicted.map(f32::to_bits);
             if m.valid
                 && m.table_len == table_len
                 && m.starved == starved
@@ -464,30 +525,7 @@ impl DecisionPlan {
         let pre_err_bits = slot.state.err_ewma.to_bits();
         let pre_pred_bits = prev_predicted.map(f32::to_bits);
 
-        // Self-calibration on the epoch that just ended (exact f64
-        // arithmetic of the engine path).
-        if self.calibration && !starved {
-            if let Some(predicted) = slot.state.predicted_instructions {
-                let actual_f32 = actual as f32;
-                if predicted > 0.0 {
-                    let rel_err = f64::from((predicted - actual_f32) / predicted);
-                    slot.state.err_ewma = 0.7 * slot.state.err_ewma + 0.3 * rel_err;
-                    if slot.state.err_ewma > self.deadband {
-                        // Persistently slower than the preset expectation:
-                        // tighten the effective preset.
-                        slot.state.effective_preset = (slot.state.effective_preset
-                            - self.gain * (slot.state.err_ewma - self.deadband) * self.preset)
-                            .max(self.min_preset);
-                    } else {
-                        // On or ahead of expectation: relax toward the
-                        // original preset.
-                        slot.state.effective_preset = (slot.state.effective_preset
-                            + self.recovery * self.preset)
-                            .min(self.preset);
-                    }
-                }
-            }
-        }
+        self.cal.update(&mut slot.state, actual, starved);
         let effective_preset = slot.state.effective_preset;
 
         // Decision head: assemble [features..., effective preset],
@@ -512,19 +550,12 @@ impl DecisionPlan {
             self.s_logits,
         );
         let num_out = self.decision.output_size;
-        let op = if self.argmax_decode {
-            argmax_of(&scratch[self.s_logits..self.s_logits + num_out]).min(table_len - 1)
-        } else {
-            scratch.copy_within(self.s_logits..self.s_logits + num_out, self.s_probs);
-            let probs = &mut scratch[self.s_probs..self.s_probs + num_out];
-            tinynn::softmax_in_place(probs);
-            let mean: f32 = probs.iter().enumerate().map(|(i, p)| i as f32 * p).sum();
-            (mean.round() as usize).min(self.num_ops - 1).min(table_len - 1)
-        };
+        let (logits, probs) = scratch[self.s_logits..self.s_probs + num_out].split_at_mut(num_out);
+        let op = decode_op(logits, probs, self.argmax_decode, self.num_ops, table_len);
 
         // Calibrator head: always sees the original preset.
         scratch.copy_within(self.s_features..self.s_features + f, self.s_input);
-        scratch[self.s_input + f] = self.preset as f32;
+        scratch[self.s_input + f] = self.cal.preset as f32;
         scratch[self.s_input + f + 1] = op as f32 / self.cal_op_denom;
         normalize(
             &mut scratch[self.s_input..self.s_input + f + 2],
@@ -599,24 +630,7 @@ impl DecisionPlan {
         let starved = counters[CounterId::StallEmpty] / cycles > 0.2;
         let actual = counters.total_instructions();
         let prev_predicted = slot.state.predicted_instructions;
-        if self.calibration && !starved {
-            if let Some(predicted) = slot.state.predicted_instructions {
-                let actual_f32 = actual as f32;
-                if predicted > 0.0 {
-                    let rel_err = f64::from((predicted - actual_f32) / predicted);
-                    slot.state.err_ewma = 0.7 * slot.state.err_ewma + 0.3 * rel_err;
-                    if slot.state.err_ewma > self.deadband {
-                        slot.state.effective_preset = (slot.state.effective_preset
-                            - self.gain * (slot.state.err_ewma - self.deadband) * self.preset)
-                            .max(self.min_preset);
-                    } else {
-                        slot.state.effective_preset = (slot.state.effective_preset
-                            + self.recovery * self.preset)
-                            .min(self.preset);
-                    }
-                }
-            }
-        }
+        self.cal.update(&mut slot.state, actual, starved);
         let effective_preset = slot.state.effective_preset;
 
         scratch.copy_within(self.s_features..self.s_features + f, self.s_input);
@@ -628,19 +642,12 @@ impl DecisionPlan {
         );
         let num_out = self.decision.output_size;
         let out = self.int8_decision.infer(&scratch[self.s_input..self.s_input + f + 1]);
-        scratch[self.s_logits..self.s_logits + num_out].copy_from_slice(out);
-        let op = if self.argmax_decode {
-            argmax_of(&scratch[self.s_logits..self.s_logits + num_out]).min(table_len - 1)
-        } else {
-            scratch.copy_within(self.s_logits..self.s_logits + num_out, self.s_probs);
-            let probs = &mut scratch[self.s_probs..self.s_probs + num_out];
-            tinynn::softmax_in_place(probs);
-            let mean: f32 = probs.iter().enumerate().map(|(i, p)| i as f32 * p).sum();
-            (mean.round() as usize).min(self.num_ops - 1).min(table_len - 1)
-        };
+        let (logits, probs) = scratch[self.s_logits..self.s_probs + num_out].split_at_mut(num_out);
+        logits.copy_from_slice(out);
+        let op = decode_op(logits, probs, self.argmax_decode, self.num_ops, table_len);
 
         scratch.copy_within(self.s_features..self.s_features + f, self.s_input);
-        scratch[self.s_input + f] = self.preset as f32;
+        scratch[self.s_input + f] = self.cal.preset as f32;
         scratch[self.s_input + f + 1] = op as f32 / self.cal_op_denom;
         normalize(
             &mut scratch[self.s_input..self.s_input + f + 2],
@@ -669,16 +676,32 @@ fn normalize(x: &mut [f32], mean: &[f32], std: &[f32]) {
     }
 }
 
-/// `tinynn::argmax` without the slice-to-vec detour (same semantics: first
-/// maximal element wins).
-fn argmax_of(v: &[f32]) -> usize {
-    tinynn::argmax(v)
+/// The one operating-point decode: argmax (first maximal logit wins), or
+/// the rounded expected index under the softmax of the logits (computed in
+/// `probs`, a scratch slice of the same length) for the default ordinal
+/// decode. Clamped to the model's and the table's operating points.
+#[inline]
+fn decode_op(
+    logits: &[f32],
+    probs: &mut [f32],
+    argmax: bool,
+    num_ops: usize,
+    table_len: usize,
+) -> usize {
+    if argmax {
+        tinynn::argmax(logits).min(table_len - 1)
+    } else {
+        probs.copy_from_slice(logits);
+        tinynn::softmax_in_place(probs);
+        let mean: f32 = probs.iter().enumerate().map(|(i, p)| i as f32 * p).sum();
+        (mean.round() as usize).min(num_ops - 1).min(table_len - 1)
+    }
 }
 
 /// Flattens one head into the arena: dense layers append row-major weights,
 /// CSR layers append the value stream to the arena and row pointers +
-/// column indices to the index arena. Engine choice (whole-head density
-/// against [`SPARSE_DENSITY_THRESHOLD`]) mirrors `InferenceNet::compile`.
+/// column indices to the index arena. Engine choice: whole-head density
+/// against [`SPARSE_DENSITY_THRESHOLD`].
 fn compile_head(mlp: &Mlp, arena: &mut Vec<f32>, idx: &mut Vec<u32>) -> HeadProgram {
     let sparse_mlp = SparseMlp::from_mlp(mlp);
     let sparse = sparse_mlp.density() < SPARSE_DENSITY_THRESHOLD;
@@ -723,11 +746,12 @@ fn compile_head(mlp: &Mlp, arena: &mut Vec<f32>, idx: &mut Vec<u32>) -> HeadProg
 }
 
 /// Runs one compiled head over the scratch ping-pong slots and copies the
-/// final activations to `out_off`. The kernels replicate the engine
-/// arithmetic exactly: dense accumulates each output over `k` ascending
-/// with a single `f32` accumulator, CSR over stored columns ascending; both
-/// then add the bias and apply the ReLU — bit-identical to
-/// `Mlp::forward_one_into` / `SparseMlp::forward_one_into`.
+/// final activations to `out_off`. Dense accumulates each output over `k`
+/// ascending with a single `f32` accumulator, CSR over stored columns
+/// ascending; both then add the bias and apply the ReLU. Skipping an
+/// exact-zero weight never changes a finite dot product (the skipped term
+/// is an exact `±0.0`), so both are bit-identical to `Mlp::forward_one_into`
+/// on finite inputs.
 #[allow(clippy::too_many_arguments)]
 fn run_head(
     prog: &[f32],
@@ -760,7 +784,7 @@ fn run_head(
     }
 }
 
-/// One fused layer: `y = act(W @ x + b)` with the engine-exact accumulation
+/// One fused layer: `y = act(W @ x + b)` in the reference accumulation
 /// order (see [`run_head`]).
 fn run_step(prog: &[f32], idx: &[u32], step: &PlanStep, x: &[f32], out: &mut [f32]) {
     let b = &prog[step.b_off..step.b_off + step.rows];
@@ -983,6 +1007,42 @@ mod tests {
             let g = gov.decide(0, &c, &table);
             let p = plan.decide_slot(&mut slot, &c, table.len());
             assert_eq!(g, p.op, "epoch {i}");
+        }
+    }
+
+    #[test]
+    fn bad_instruction_count_skips_calibration_without_poisoning_it() {
+        let mut model = dummy_model(23);
+        // A positive calibrator bias keeps every prediction above zero, so
+        // each finite epoch runs the calibration update.
+        model.calibrator.layers_mut().last_mut().unwrap().b[0] = 8.0;
+        let mut plan = DecisionPlan::compile(&model, &SsmdvfsConfig::new(0.1));
+        plan.set_memo(false);
+        let mut poisoned = plan.new_slot();
+        let mut skipped = plan.new_slot();
+        let first = counters_with(4_000.0, 0.0);
+        plan.decide_slot(&mut poisoned, &first, 6);
+        plan.decide_slot(&mut skipped, &first, 6);
+        assert!(poisoned.state.predicted_instructions.unwrap() > 0.0);
+        for bad in [f64::NAN, f64::INFINITY, -5.0] {
+            let before = poisoned.state.clone();
+            let d = plan.decide_slot(&mut poisoned, &counters_with(bad, 0.0), 6);
+            assert_eq!(poisoned.state.err_ewma.to_bits(), before.err_ewma.to_bits());
+            assert_eq!(d.effective_preset.to_bits(), before.effective_preset.to_bits());
+            // The reference stream skips the same epoch's calibration by
+            // having no outstanding prediction to judge.
+            skipped.state.predicted_instructions = None;
+            plan.decide_slot(&mut skipped, &counters_with(bad, 0.0), 6);
+            for i in 0..6 {
+                let c = counters_with(1_000.0 + 900.0 * i as f64, 0.0);
+                let p = plan.decide_slot(&mut poisoned, &c, 6);
+                let s = plan.decide_slot(&mut skipped, &c, 6);
+                assert!(poisoned.state.err_ewma.is_finite(), "{bad}: EWMA poisoned");
+                assert!(p.effective_preset.is_finite());
+                assert_eq!(p.op, s.op);
+                assert_eq!(poisoned.state.err_ewma.to_bits(), skipped.state.err_ewma.to_bits());
+                assert_eq!(p.effective_preset.to_bits(), s.effective_preset.to_bits());
+            }
         }
     }
 

@@ -121,7 +121,7 @@ struct CacheFile {
 const CACHE_VERSION: u32 = 1;
 
 /// A thread-safe, content-addressed store of replay results that persists
-/// across runs. See the [module docs](self) for the keying scheme.
+/// across runs. See the module docs for the keying scheme.
 #[derive(Debug, Default)]
 pub struct ReplayCache {
     path: Option<PathBuf>,

@@ -2,8 +2,8 @@
 //!
 //! The paper's premise is a microsecond decision budget per cluster; a
 //! fleet of GPUs multiplies that into a stream of concurrent decision
-//! requests, and answering them one `forward_one` at a time wastes most of
-//! the inference budget on per-call overhead. This module turns the
+//! requests, and waking a server once per request wastes most of the
+//! decision budget on queue overhead. This module turns the
 //! per-cluster [`SsmdvfsGovernor`](crate::SsmdvfsGovernor) hot path into a
 //! service:
 //!
@@ -11,10 +11,9 @@
 //!   (a GPU always maps to the same shard). Submission blocks while the
 //!   shard is full — backpressure, not loss.
 //! * One batcher thread per shard drains up to `max_batch` requests and
-//!   answers them through the shard's compiled
-//!   [`DecisionPlan`](crate::plan::DecisionPlan) — the same fused
-//!   single-allocation fast path the governor runs, including the
-//!   per-`(gpu, cluster)` phase-locality memo. Draining in batches
+//!   answers each in turn through the shard's compiled [`DecisionPlan`] —
+//!   the same fused single-allocation path the governor runs, including
+//!   the per-`(gpu, cluster)` phase-locality memo. Draining in batches
 //!   amortizes the queue wakeup over many sub-200 ns decisions.
 //! * A request carries an optional **deadline**; one that expires in the
 //!   queue is answered with the table's safe fallback operating point (the
@@ -50,7 +49,7 @@ pub struct ServeConfig {
     /// shard `gpu % shards`, so per-GPU calibration state never crosses a
     /// shard boundary.
     pub shards: usize,
-    /// Most requests answered by one batched forward pass.
+    /// Most requests one batcher wakeup drains and answers.
     pub max_batch: usize,
     /// Bound of each shard's queue; submission blocks at the bound.
     pub queue_depth: usize,
@@ -94,7 +93,8 @@ pub struct Decision {
 pub struct ServeStats {
     /// Requests answered (inference and fallback alike).
     pub decisions: u64,
-    /// Batched forward passes executed.
+    /// Batches drained (batcher wakeups that answered at least one
+    /// request by inference).
     pub batches: u64,
     /// Requests answered by inference (sum of batch sizes).
     pub batched: u64,
@@ -103,7 +103,8 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// Mean requests per batched forward pass (0 when no batch ran).
+    /// Mean requests answered by inference per batch (0 when no batch
+    /// ran).
     pub fn mean_batch(&self) -> f64 {
         if self.batches == 0 {
             0.0

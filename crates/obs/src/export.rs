@@ -44,6 +44,7 @@ pub const DEFAULT_COUNTERS: &[&str] = &[
     "datagen.jobs_resumed",
     "datagen.replays",
     "datagen.samples",
+    "decide.bad_input",
     "exec.quarantine_dropped",
     "exec.quarantine_retries",
     "exec.tasks_executed",

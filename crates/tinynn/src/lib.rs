@@ -69,7 +69,7 @@ pub use quant::{Int8Net, QuantizedLayer, QuantizedMlp};
 pub use select::{
     column_importance, permutation_importance, recursive_feature_elimination, splitmix64, RfeStep,
 };
-pub use sparse::{CsrMatrix, InferenceNet, SparseLayer, SparseMlp};
+pub use sparse::{CsrMatrix, SparseLayer, SparseMlp};
 pub use train::{
     grad_shards, shard_span, train_classifier, train_classifier_masked,
     train_classifier_parallel_with, train_classifier_with, train_regressor, train_regressor_masked,

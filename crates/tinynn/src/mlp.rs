@@ -82,9 +82,7 @@ impl Dense {
         out
     }
 
-    /// [`Dense::forward`] into a caller-owned buffer (resized as needed);
-    /// the batched kernel behind [`Mlp::forward_into`] and the quantized /
-    /// controller hot paths.
+    /// [`Dense::forward`] into a caller-owned buffer (resized as needed).
     pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
         x.matmul_transposed_into(&self.w, out);
         self.finish_affine(out);
@@ -245,9 +243,8 @@ impl ForwardCache {
     }
 }
 
-/// Reusable single-sample inference buffers for [`Mlp::forward_one_into`]
-/// and the sparse/quantized forward paths: two ping-pong activation vectors,
-/// grown once and recycled on every call.
+/// Reusable single-sample inference buffers for [`Mlp::forward_one_into`]:
+/// two ping-pong activation vectors, grown once and recycled on every call.
 #[derive(Debug, Clone, Default)]
 pub struct InferScratch {
     pub(crate) a: Vec<f32>,

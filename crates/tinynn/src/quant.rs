@@ -2,28 +2,15 @@
 //!
 //! The paper's ASIC module computes in FP32; an INT8 datapath is the obvious
 //! next step for a microsecond-scale inference engine (multipliers shrink
-//! ~5×, SRAM per weight 4×). This module provides symmetric per-layer
-//! weight quantization with a straightforward dequantize-and-run evaluation
-//! path, so the accuracy cost of the smaller datapath can be measured
-//! before committing to it.
-
-use std::cell::RefCell;
+//! ~5×, SRAM per weight 4×). [`QuantizedMlp`] holds a model's symmetric
+//! per-layer weight quantization (storage accounting, and
+//! [`QuantizedMlp::dequantize`] for measuring the accuracy cost of the
+//! smaller datapath); [`Int8Net`] compiles it into the integer inference
+//! kernel the decision plan's quantized path runs.
 
 use serde::{Deserialize, Serialize};
 
-use crate::matrix::Matrix;
-use crate::mlp::{Activation, Dense, ForwardCache, InferScratch, Mlp};
-
-thread_local! {
-    /// Reusable scratch behind the allocating convenience wrappers
-    /// ([`QuantizedMlp::forward_one`] / [`QuantizedMlp::forward`]), so
-    /// repeated calls stop paying per-call heap traffic for the
-    /// intermediate activations. Hot paths should still prefer the
-    /// explicit `_into` variants (or [`Int8Net`]), which also avoid the
-    /// output copy the by-value signatures force.
-    static QUANT_ONE_SCRATCH: RefCell<InferScratch> = RefCell::new(InferScratch::new());
-    static QUANT_BATCH_CACHE: RefCell<ForwardCache> = RefCell::new(ForwardCache::empty());
-}
+use crate::mlp::{Activation, Dense, Mlp};
 
 /// One layer's quantized weights: `w ≈ scale * q`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -128,96 +115,6 @@ impl QuantizedMlp {
     pub fn layers(&self) -> &[QuantizedLayer] {
         &self.layers
     }
-
-    /// Batch forward pass directly on the quantized weights.
-    ///
-    /// Runs through a thread-local [`ForwardCache`], so the intermediate
-    /// activations are allocation-free once warm; only the returned output
-    /// matrix is given up per call (the by-value signature forces it).
-    pub fn forward(&self, x: &Matrix) -> Matrix {
-        QUANT_BATCH_CACHE.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            self.forward_into(x, &mut cache);
-            // Swap the output out rather than cloning it: the resize at the
-            // top of the next `forward_into` re-creates the slot, and every
-            // other buffer in the cache stays warm.
-            let out = cache.activations.last_mut().expect("cache holds the output");
-            std::mem::replace(out, Matrix::zeros(0, 0))
-        })
-    }
-
-    /// [`QuantizedMlp::forward`] into a reusable cache — the INT8 datapath
-    /// the ASIC estimate models: integer weights accumulate per dot product
-    /// and the FP32 `scale` is applied once per output, instead of
-    /// rescaling every weight up front as [`QuantizedMlp::dequantize`]
-    /// does. (The two paths agree to within quantization rounding, not bit
-    /// for bit: dequantize-then-multiply rounds each weight separately.)
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x` does not match the first layer's input width.
-    pub fn forward_into(&self, x: &Matrix, cache: &mut ForwardCache) {
-        assert_eq!(x.cols(), self.layers[0].cols, "input width mismatch");
-        let input = cache.input_mut();
-        input.reshape(x.rows(), x.cols());
-        input.as_mut_slice().copy_from_slice(x.as_slice());
-        cache.activations.resize(self.layers.len() + 1, Matrix::zeros(0, 0));
-        for (l, (layer, &activation)) in self.layers.iter().zip(&self.activations).enumerate() {
-            let (before, after) = cache.activations.split_at_mut(l + 1);
-            let (h, out) = (&before[l], &mut after[0]);
-            out.reshape(h.rows(), layer.rows);
-            for i in 0..h.rows() {
-                let hrow = h.row(i);
-                for j in 0..layer.rows {
-                    let qrow = &layer.q[j * layer.cols..(j + 1) * layer.cols];
-                    let mut acc = 0.0f32;
-                    for (&q, &v) in qrow.iter().zip(hrow) {
-                        acc += f32::from(q) * v;
-                    }
-                    let mut y = acc * layer.scale + layer.bias[j];
-                    if activation == Activation::Relu {
-                        y = y.max(0.0);
-                    }
-                    out.row_mut(i)[j] = y;
-                }
-            }
-        }
-    }
-
-    /// Single-sample forward pass on the quantized weights.
-    ///
-    /// Runs through thread-local [`InferScratch`], so only the returned
-    /// `Vec` is allocated per call.
-    pub fn forward_one(&self, x: &[f32]) -> Vec<f32> {
-        QUANT_ONE_SCRATCH.with(|scratch| {
-            let mut scratch = scratch.borrow_mut();
-            self.forward_one_into(x, &mut scratch).to_vec()
-        })
-    }
-
-    /// [`QuantizedMlp::forward_one`] through reusable scratch buffers —
-    /// allocation-free once warm.
-    pub fn forward_one_into<'s>(&self, x: &[f32], scratch: &'s mut InferScratch) -> &'s [f32] {
-        scratch.a.clear();
-        scratch.a.extend_from_slice(x);
-        for (layer, &activation) in self.layers.iter().zip(&self.activations) {
-            scratch.b.clear();
-            for j in 0..layer.rows {
-                let qrow = &layer.q[j * layer.cols..(j + 1) * layer.cols];
-                let mut acc = 0.0f32;
-                for (&q, &v) in qrow.iter().zip(&scratch.a) {
-                    acc += f32::from(q) * v;
-                }
-                let mut y = acc * layer.scale + layer.bias[j];
-                if activation == Activation::Relu {
-                    y = y.max(0.0);
-                }
-                scratch.b.push(y);
-            }
-            std::mem::swap(&mut scratch.a, &mut scratch.b);
-        }
-        &scratch.a
-    }
 }
 
 /// One layer's execution record inside an [`Int8Net`] arena: where its
@@ -256,8 +153,7 @@ struct Int8Step {
 
 /// A compiled INT8 single-sample inference engine.
 ///
-/// Where [`QuantizedMlp::forward_one_into`] widens every `i8` weight to
-/// `f32` inside the dot product, `Int8Net` runs the true integer datapath:
+/// `Int8Net` runs the true integer datapath of a [`QuantizedMlp`]:
 /// activations are dynamically quantized per layer (`xq = round(x * 127 /
 /// max|x|)`, round-to-nearest-even), the dot products accumulate in exact
 /// `i32` arithmetic over one flat `i8` weight arena (all layer offsets
@@ -272,8 +168,9 @@ struct Int8Step {
 /// portable scalar one. Integer accumulation is exact and every float op is
 /// elementwise-identical, so the two paths produce the same bits.
 ///
-/// Outputs differ from [`QuantizedMlp`] only by the activation quantization
-/// (bounded by `max|x| / 254` per element).
+/// Outputs differ from the [`QuantizedMlp::dequantize`]d model's forward
+/// pass by the activation quantization (bounded by `max|x| / 254` per
+/// element) plus scale-after-sum rounding.
 ///
 /// # Examples
 ///
@@ -739,25 +636,6 @@ mod tests {
     }
 
     #[test]
-    fn direct_forward_tracks_dequantized_forward() {
-        let mlp = model();
-        let q = QuantizedMlp::quantize(&mlp);
-        let deq = q.dequantize();
-        let x = Matrix::from_rows(&[&[0.2, -0.4, 0.9, 0.0, -1.1], &[1.0, 1.0, -1.0, 0.3, 0.0]]);
-        let direct = q.forward(&x);
-        let via_deq = deq.forward(&x);
-        assert_eq!((direct.rows(), direct.cols()), (2, 6));
-        for (a, b) in direct.as_slice().iter().zip(via_deq.as_slice()) {
-            // Scale-after-sum vs scale-per-weight: tiny rounding drift only.
-            assert!((a - b).abs() < 1e-3, "{a} vs {b}");
-        }
-        let mut scratch = InferScratch::new();
-        let single = q.forward_one_into(x.row(0), &mut scratch).to_vec();
-        assert_eq!(single, direct.row(0), "single-sample path matches batch");
-        assert_eq!(q.forward_one(x.row(0)), single);
-    }
-
-    #[test]
     fn sparsity_survives_quantization() {
         let mut mlp = model();
         prune_magnitude(&mut mlp, 0.6);
@@ -779,11 +657,11 @@ mod tests {
         let q = QuantizedMlp::quantize(&mlp);
         let mut net = Int8Net::from_quantized(&q);
         assert_eq!((net.input_size(), net.output_size()), (5, 6));
-        let mut scratch = InferScratch::new();
+        let deq = q.dequantize();
         let mut rng = StdRng::seed_from_u64(11);
         for _ in 0..64 {
             let x: Vec<f32> = (0..5).map(|_| rand::Rng::gen_range(&mut rng, -2.0..2.0)).collect();
-            let reference = q.forward_one_into(&x, &mut scratch).to_vec();
+            let reference = deq.forward_one(&x);
             let got = net.infer(&x).to_vec();
             assert_eq!(got.len(), reference.len());
             for (a, b) in got.iter().zip(&reference) {
