@@ -27,6 +27,7 @@
 //! assert!(idx < 6);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod flemma;

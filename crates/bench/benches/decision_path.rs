@@ -5,9 +5,8 @@
 //! oracle the plan is pinned to) against the fused [`DecisionPlan`] — the
 //! one single-sample inference path — on the synthetic model, on the
 //! paper's full architecture and on its pruned compressed architecture
-//! (CSR heads), in its quantized-INT8 and memo-hit configurations, plus the
-//! two head kernels underneath (dense `Mlp::forward_one_into` and
-//! `Int8Net::infer`). The paper's microsecond-scale epoch budget leaves
+//! (CSR heads), and on a memo hit, plus the dense head kernel underneath
+//! (`Mlp::forward_one_into`). The paper's microsecond-scale epoch budget leaves
 //! roughly 1 µs for the whole control step; every variant here must sit
 //! far inside that.
 
@@ -17,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ssmdvfs::plan::DecisionPlan;
 use ssmdvfs::{CombinedModel, FeatureSet, ModelArch, SsmdvfsConfig};
-use tinynn::{prune_two_stage, InferScratch, Int8Net, Matrix, Mlp, Normalizer};
+use tinynn::{prune_two_stage, InferScratch, Matrix, Mlp, Normalizer};
 
 fn counters(instrs: f64, stall_frac: f64) -> EpochCounters {
     let mut c = EpochCounters::zeroed();
@@ -96,18 +95,6 @@ fn bench_decision_path(c: &mut Criterion) {
         });
     }
 
-    // Fused quantized plan: INT8 head kernels, same fused surroundings.
-    group.bench_function("plan_quantized", |b| {
-        let mut plan = DecisionPlan::compile(&model, &config);
-        let mut slot = plan.new_slot();
-        let mut flip = false;
-        b.iter(|| {
-            flip = !flip;
-            let c = if flip { &active } else { &starved };
-            plan.decide_slot_quantized(&mut slot, c, table.len()).op
-        });
-    });
-
     // Memo hit: the same starved epoch repeated, the phase-locality case.
     group.bench_function("plan_memo_hit", |b| {
         let mut plan = DecisionPlan::compile(&model, &config);
@@ -119,19 +106,16 @@ fn bench_decision_path(c: &mut Criterion) {
     group.finish();
 }
 
-/// The head kernels under the plan, on the compressed decision head's
-/// [6, 12, 12, 6] shape: the dense f32 forward (the plan's exact-path
-/// arithmetic) and the INT8 kernel behind `decide_slot_quantized`.
+/// The head kernel under the plan, on the compressed decision head's
+/// [6, 12, 12, 6] shape: the dense f32 forward (the plan's arithmetic).
 fn bench_head_kernels(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(11);
     let mlp = Mlp::new(&[6, 12, 12, 6], &mut rng);
-    let mut int8 = Int8Net::compile(&mlp);
     let x = [0.4f32, -0.2, 1.1, 0.3, -0.8, 0.1];
     let mut scratch = InferScratch::new();
 
     let mut group = c.benchmark_group("decision_path/head_kernel");
     group.bench_function("dense", |bch| bch.iter(|| mlp.forward_one_into(&x, &mut scratch)[0]));
-    group.bench_function("int8", |bch| bch.iter(|| int8.infer(&x)[0]));
     group.finish();
 }
 

@@ -18,10 +18,10 @@
 //!   service at `--max-batch 1` (single-request baseline) vs `32`, with
 //!   p50/p99 decision latency, batch occupancy and a decision-stream
 //!   identity check between the two modes — written to `BENCH_serve.json`.
-//! * `--decide`: single-decision latency — ns/inference for the dense and
-//!   INT8 head kernels on the compressed decision head, ns/decision for the
-//!   unfused reference path vs the compiled `DecisionPlan` (exact, CSR on
-//!   80 %-pruned heads, INT8 and memo-hit variants), plus the memo hit rate
+//! * `--decide`: single-decision latency — ns/inference for the dense head
+//!   kernel on the compressed decision head, ns/decision for the unfused
+//!   reference path vs the compiled `DecisionPlan` (dense, CSR on 80 %-pruned
+//!   heads, and memo-hit variants), plus the memo hit rate
 //!   and a decision-stream identity check on a phase-structured replay —
 //!   written to `BENCH_decide.json`.
 //!
@@ -46,8 +46,8 @@ use ssmdvfs::{
 use ssmdvfs_bench::artifacts_dir;
 use tinynn::{
     effective_jobs, grad_shards, prune_magnitude, train_classifier_parallel_with,
-    train_classifier_with, ClassificationData, InferScratch, Int8Net, Matrix, Mlp, TrainConfig,
-    TrainPool, TrainScratch,
+    train_classifier_with, ClassificationData, InferScratch, Matrix, Mlp, TrainConfig, TrainPool,
+    TrainScratch,
 };
 
 #[derive(Serialize)]
@@ -643,10 +643,9 @@ struct DecideBaseline {
     /// Timed iterations per measurement (each taken as the best of several
     /// rounds to shed scheduler noise).
     iters: usize,
-    /// ns per single forward through the compressed `[6, 12, 12, 6]` decision
-    /// head: the dense `Mlp` and the flat-arena INT8 kernel.
+    /// ns per single dense forward through the compressed `[6, 12, 12, 6]`
+    /// decision head.
     kernel_dense_ns: f64,
-    kernel_int8_ns: f64,
     /// ns per complete governor decision (feature extraction, calibration,
     /// both heads, decode) through the unfused allocating model-method
     /// path — what every decision cost before the compiled plan.
@@ -658,9 +657,6 @@ struct DecideBaseline {
     plan_sparse_decision_ns: f64,
     /// Whether both pruned heads compiled to the CSR program.
     plan_sparse: bool,
-    /// The fused decision on the INT8 datapath
-    /// (`DecisionPlan::decide_slot_quantized`).
-    plan_quantized_ns: f64,
     /// The memo short-circuit: a bit-identical repeated epoch replayed
     /// without inference.
     plan_memo_hit_ns: f64,
@@ -770,10 +766,6 @@ fn run_decide(smoke: bool) {
     let kernel_dense_ns = best_ns(iters, rounds, || {
         std::hint::black_box(mlp.forward_one_into(std::hint::black_box(&x), &mut scratch));
     });
-    let mut int8 = Int8Net::compile(&mlp);
-    let kernel_int8_ns = best_ns(iters, rounds, || {
-        std::hint::black_box(int8.infer(std::hint::black_box(&x)));
-    });
 
     // --- Full-decision latencies: unfused reference vs compiled plan. ---
     let table = GpuConfig::small_test().vf_table;
@@ -808,14 +800,6 @@ fn run_decide(smoke: bool) {
     let plan_sparse_decision_ns = best_ns(decision_iters, rounds, || {
         std::hint::black_box(sparse_plan.decide_slot(
             &mut sparse_slot,
-            std::hint::black_box(&active),
-            table.len(),
-        ));
-    });
-    let mut quant_slot = plan.new_slot();
-    let plan_quantized_ns = best_ns(decision_iters, rounds, || {
-        std::hint::black_box(plan.decide_slot_quantized(
-            &mut quant_slot,
             std::hint::black_box(&active),
             table.len(),
         ));
@@ -855,12 +839,10 @@ fn run_decide(smoke: bool) {
         smoke,
         iters,
         kernel_dense_ns,
-        kernel_int8_ns,
         reference_decision_ns,
         plan_decision_ns,
         plan_sparse_decision_ns,
         plan_sparse,
-        plan_quantized_ns,
         plan_memo_hit_ns,
         replay_epochs,
         memo_hits,
@@ -870,12 +852,6 @@ fn run_decide(smoke: bool) {
     };
     assert!(baseline.decisions_identical, "plan/memo/reference decision streams diverged");
     assert!(baseline.memo_hit_rate > 0.0, "phase-structured replay produced no memo hits");
-    assert!(
-        baseline.kernel_int8_ns < baseline.kernel_dense_ns,
-        "INT8 kernel ({:.0} ns) must beat the dense kernel ({:.0} ns)",
-        baseline.kernel_int8_ns,
-        baseline.kernel_dense_ns
-    );
     assert!(
         baseline.plan_decision_ns < baseline.reference_decision_ns,
         "compiled plan ({:.0} ns) must beat the unfused reference ({:.0} ns)",
@@ -887,13 +863,11 @@ fn run_decide(smoke: bool) {
     std::fs::write(&path, &json).expect("baseline must be writable");
     println!("{json}");
     println!(
-        "[perf_baseline] kernels {:.0}/{:.0} ns dense/int8; decision {:.0} ns reference -> {:.0} ns plan / {:.0} ns csr-plan / {:.0} ns int8-plan / {:.0} ns memo-hit; hit rate {:.1}% over {} epochs, identical={} -> {}",
+        "[perf_baseline] dense kernel {:.0} ns; decision {:.0} ns reference -> {:.0} ns plan / {:.0} ns csr-plan / {:.0} ns memo-hit; hit rate {:.1}% over {} epochs, identical={} -> {}",
         baseline.kernel_dense_ns,
-        baseline.kernel_int8_ns,
         baseline.reference_decision_ns,
         baseline.plan_decision_ns,
         baseline.plan_sparse_decision_ns,
-        baseline.plan_quantized_ns,
         baseline.plan_memo_hit_ns,
         baseline.memo_hit_rate * 100.0,
         baseline.replay_epochs,

@@ -6,6 +6,7 @@
 //! training → compression) with on-disk artifact caching, the governor
 //! comparison runner behind Fig. 4, and small table/CSV formatting helpers.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod pipeline;

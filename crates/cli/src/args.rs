@@ -166,22 +166,35 @@ impl Args {
         self.flags.iter().any(|f| f == key)
     }
 
+    /// An option's raw value, rejecting `--key` passed bare: a
+    /// value-taking option with nothing after it must not silently fall
+    /// back to its default.
+    pub(crate) fn value(&self, key: &str, expected: &str) -> Result<Option<&str>, ParseArgsError> {
+        if self.flag(key) {
+            return Err(ParseArgsError::invalid_value(key, "", expected));
+        }
+        Ok(self.get(key))
+    }
+
     /// A required string option.
     ///
     /// # Errors
     ///
-    /// Returns an error naming the missing option.
+    /// Returns an error naming the missing option, or an invalid-value
+    /// error if it was passed without a value.
     pub fn require(&self, key: &str) -> Result<&str, ParseArgsError> {
-        self.get(key).ok_or_else(|| ParseArgsError::new(format!("missing required option --{key}")))
+        self.value(key, "a value")?
+            .ok_or_else(|| ParseArgsError::new(format!("missing required option --{key}")))
     }
 
     /// A float option with a default.
     ///
     /// # Errors
     ///
-    /// Returns an error if the value does not parse.
+    /// Returns an error if the value does not parse or is missing after
+    /// the option.
     pub fn get_f64(&self, key: &str, default: f64) -> Result<f64, ParseArgsError> {
-        match self.get(key) {
+        match self.value(key, "a number")? {
             None => Ok(default),
             Some(v) => v
                 .parse()
@@ -193,9 +206,10 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Returns an error if the value does not parse.
+    /// Returns an error if the value does not parse or is missing after
+    /// the option.
     pub fn get_usize(&self, key: &str, default: usize) -> Result<usize, ParseArgsError> {
-        match self.get(key) {
+        match self.value(key, "an integer")? {
             None => Ok(default),
             Some(v) => v
                 .parse()
@@ -242,6 +256,20 @@ mod tests {
         let a = Args::parse(["c", "--quiet"]).unwrap();
         assert!(a.flag("quiet"));
         assert_eq!(a.get("quiet"), None);
+    }
+
+    #[test]
+    fn value_options_passed_bare_are_invalid_not_defaulted() {
+        let a = Args::parse(["train", "--jobs", "--out", "m.json", "--preset"]).unwrap();
+        assert_eq!(a.get("out"), Some("m.json"));
+        let jobs = a.get_usize("jobs", 0).unwrap_err();
+        assert_eq!(jobs.kind(), ErrorKind::InvalidValue);
+        assert!(jobs.to_string().contains("''") && jobs.to_string().contains("--jobs"), "{jobs}");
+        assert_eq!(a.get_f64("preset", 0.1).unwrap_err().kind(), ErrorKind::InvalidValue);
+        assert_eq!(a.require("jobs").unwrap_err().kind(), ErrorKind::InvalidValue);
+        // Absent options still take their default or report as missing.
+        assert_eq!(a.get_usize("epochs", 3).unwrap(), 3);
+        assert_eq!(a.require("dataset").unwrap_err().kind(), ErrorKind::Usage);
     }
 }
 

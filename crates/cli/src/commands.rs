@@ -874,10 +874,7 @@ pub fn dispatch(args: &Args) -> CmdResult {
 /// binding the metrics listener.
 pub fn run(args: &Args) -> CmdResult {
     const LEVELS: &str = "off|error|warn|info|debug";
-    if args.flag("log-level") {
-        return Err(ParseArgsError::invalid_value("log-level", "", LEVELS));
-    }
-    if let Some(level) = args.get("log-level") {
+    if let Some(level) = args.value("log-level", LEVELS)? {
         let level = obs::log::parse_level(level)
             .map_err(|_| ParseArgsError::invalid_value("log-level", level, LEVELS))?;
         obs::log::set_level(level);

@@ -12,6 +12,7 @@
 //! ssmdvfs simulate --benchmark mvt --governor ssmdvfs --model model.json
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod args;

@@ -1,5 +1,7 @@
 //! The `ssmdvfs` command-line tool.
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 
 use ssmdvfs_cli::{run, Args};

@@ -52,6 +52,7 @@
 //! assert!(result.completed);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod asic;

@@ -45,17 +45,6 @@
 //! `decide.memo_hits` / `decide.memo_misses`, and the plan latency as the
 //! `decide.plan_latency_ns` histogram.
 //!
-//! # Quantized path
-//!
-//! The plan also compiles both heads to [`Int8Net`] — the flat-arena INT8
-//! engine whose i32-accumulating kernel is the fastest head kernel in
-//! `BENCH_decide` — reachable through
-//! [`DecisionPlan::decide_slot_quantized`]. It runs the same fused decision
-//! (features, the one calibration update, the one decode) but infers
-//! through the integer datapath, so its decisions match the exact path only
-//! up to activation-quantization error; deployments take it for latency,
-//! the default exact path for bit-stable replays.
-//!
 //! # Bad telemetry
 //!
 //! An epoch whose instruction count is non-finite or negative cannot be
@@ -66,7 +55,7 @@
 //! cluster could never tighten its preset again.
 
 use gpu_sim::{CounterId, EpochCounters};
-use tinynn::{Activation, Int8Net, Mlp, Normalizer, SparseMlp};
+use tinynn::{Activation, Mlp, Normalizer, SparseMlp};
 
 use crate::controller::SsmdvfsConfig;
 use crate::model::CombinedModel;
@@ -220,10 +209,6 @@ pub struct DecisionPlan {
     idx: Vec<u32>,
     decision: HeadProgram,
     calibrator: HeadProgram,
-    /// Quantized twins of both heads — the fastest inference kernels in the
-    /// workspace, reachable via [`DecisionPlan::decide_slot_quantized`].
-    int8_decision: Int8Net,
-    int8_calibrator: Int8Net,
     /// Which counters feed the model, fused from the feature set.
     feature_ids: Vec<CounterId>,
     // Program offsets (into the arena's program region).
@@ -348,8 +333,6 @@ impl DecisionPlan {
             idx,
             decision,
             calibrator,
-            int8_decision: Int8Net::compile(&model.decision),
-            int8_calibrator: Int8Net::compile(&model.calibrator),
             feature_ids: model.feature_set.counters().to_vec(),
             dec_mean,
             dec_std,
@@ -417,16 +400,6 @@ impl DecisionPlan {
     /// (sparse-aware: stored weights only when the head compiled to CSR).
     pub fn decision_flops(&self) -> u64 {
         self.decision.flops
-    }
-
-    /// FLOPs of one Calibrator inference on the compiled program.
-    pub fn calibrator_flops(&self) -> u64 {
-        self.calibrator.flops
-    }
-
-    /// Number of features the plan extracts per decision.
-    pub fn feature_len(&self) -> usize {
-        self.feature_ids.len()
     }
 
     /// The features extracted by the most recent decision (valid after any
@@ -599,65 +572,6 @@ impl DecisionPlan {
         if let Some(t0) = t0 {
             obs::histogram!("decide.plan_latency_ns").record(t0.elapsed().as_nanos() as f64);
         }
-        PlanDecision { op, memo_hit: false, starved, effective_preset, predicted, prev_predicted }
-    }
-
-    /// The fused decision on the INT8 datapath: identical flow to
-    /// [`DecisionPlan::decide_slot`] (features, calibration, decode,
-    /// prediction) but both heads infer through the quantized [`Int8Net`]
-    /// kernels — the fastest single-decision path. Decisions track the
-    /// exact path within activation-quantization error; they are **not**
-    /// bit-identical, so replay-stable pipelines use the exact path and
-    /// latency-bound deployments this one. No memo (the exact path's memo
-    /// already serves the phase-repeat case).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `table_len` is zero.
-    pub fn decide_slot_quantized(
-        &mut self,
-        slot: &mut ClusterSlot,
-        counters: &EpochCounters,
-        table_len: usize,
-    ) -> PlanDecision {
-        assert!(table_len > 0, "DecisionPlan needs a non-empty operating-point table");
-        let f = self.feature_ids.len();
-        let (prog, scratch) = self.arena.split_at_mut(self.scratch_base);
-        for (i, &c) in self.feature_ids.iter().enumerate() {
-            scratch[self.s_features + i] = counters[c] as f32;
-        }
-        let cycles = counters[CounterId::TotalCycles].max(1.0);
-        let starved = counters[CounterId::StallEmpty] / cycles > 0.2;
-        let actual = counters.total_instructions();
-        let prev_predicted = slot.state.predicted_instructions;
-        self.cal.update(&mut slot.state, actual, starved);
-        let effective_preset = slot.state.effective_preset;
-
-        scratch.copy_within(self.s_features..self.s_features + f, self.s_input);
-        scratch[self.s_input + f] = effective_preset as f32;
-        normalize(
-            &mut scratch[self.s_input..self.s_input + f + 1],
-            &prog[self.dec_mean..self.dec_mean + f + 1],
-            &prog[self.dec_std..self.dec_std + f + 1],
-        );
-        let num_out = self.decision.output_size;
-        let out = self.int8_decision.infer(&scratch[self.s_input..self.s_input + f + 1]);
-        let (logits, probs) = scratch[self.s_logits..self.s_probs + num_out].split_at_mut(num_out);
-        logits.copy_from_slice(out);
-        let op = decode_op(logits, probs, self.argmax_decode, self.num_ops, table_len);
-
-        scratch.copy_within(self.s_features..self.s_features + f, self.s_input);
-        scratch[self.s_input + f] = self.cal.preset as f32;
-        scratch[self.s_input + f + 1] = op as f32 / self.cal_op_denom;
-        normalize(
-            &mut scratch[self.s_input..self.s_input + f + 2],
-            &prog[self.cal_mean..self.cal_mean + f + 2],
-            &prog[self.cal_std..self.cal_std + f + 2],
-        );
-        let out = self.int8_calibrator.infer(&scratch[self.s_input..self.s_input + f + 2]);
-        let predicted = (out[0] * self.instr_scale).max(0.0);
-        slot.state.predicted_instructions = Some(predicted);
-
         PlanDecision { op, memo_hit: false, starved, effective_preset, predicted, prev_predicted }
     }
 }
@@ -968,26 +882,6 @@ mod tests {
             assert!(!b.memo_hit);
         }
         assert!(hits >= 2, "the starved repeats must hit the memo, got {hits}");
-    }
-
-    #[test]
-    fn quantized_path_tracks_exact_path() {
-        let model = dummy_model(13);
-        let mut plan = DecisionPlan::compile(&model, &SsmdvfsConfig::new(0.1));
-        let mut exact_slot = plan.new_slot();
-        let mut quant_slot = plan.new_slot();
-        let mut agree = 0;
-        for i in 0..20 {
-            let c = counters_with(3_000.0 + 200.0 * i as f64, 0.0);
-            let e = plan.decide_slot(&mut exact_slot, &c, 6);
-            let q = plan.decide_slot_quantized(&mut quant_slot, &c, 6);
-            // Quantization error can flip a borderline ordinal decode by
-            // one point, never more.
-            assert!(e.op.abs_diff(q.op) <= 1, "epoch {i}: {} vs {}", e.op, q.op);
-            agree += (e.op == q.op) as usize;
-            assert!(q.predicted >= 0.0 && q.predicted.is_finite());
-        }
-        assert!(agree >= 15, "quantized decisions should mostly agree, got {agree}/20");
     }
 
     #[test]

@@ -34,6 +34,7 @@
 //!
 //! [McPAT]: https://doi.org/10.1145/1669112.1669172
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod activity;

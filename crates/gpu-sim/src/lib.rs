@@ -45,6 +45,7 @@
 //!
 //! [GPGPU-Sim]: https://doi.org/10.1109/ISPASS.2009.4919648
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;

@@ -122,11 +122,6 @@ impl SmCore {
         self.finish_time
     }
 
-    /// Number of currently resident (live or finished-but-unretired) warps.
-    pub fn resident_warps(&self) -> usize {
-        self.warps.len()
-    }
-
     fn launch_ctas(&mut self) {
         let Some(kernel) = &self.kernel else { return };
         let wpc = kernel.warps_per_cta();

@@ -56,6 +56,7 @@
 //! # obs::set_enabled(false);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod audit;

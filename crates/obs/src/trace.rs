@@ -13,7 +13,7 @@
 //! [`crate::span!`] produces a no-op guard without formatting the name or
 //! reading the clock.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -48,7 +48,6 @@ struct ThreadBuf {
 
 static BUFS: Mutex<Vec<Arc<ThreadBuf>>> = Mutex::new(Vec::new());
 static NEXT_TID: AtomicU64 = AtomicU64::new(1);
-static RING_CAPACITY: AtomicUsize = AtomicUsize::new(DEFAULT_RING_CAPACITY);
 
 fn epoch() -> Instant {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
@@ -58,12 +57,6 @@ fn epoch() -> Instant {
 /// Microseconds since the trace epoch.
 fn now_us() -> f64 {
     epoch().elapsed().as_secs_f64() * 1e6
-}
-
-/// Sets the ring capacity used by threads that have not yet recorded a
-/// span (existing thread buffers keep their capacity).
-pub fn set_thread_ring_capacity(capacity: usize) {
-    RING_CAPACITY.store(capacity.max(1), Ordering::Relaxed);
 }
 
 fn local_buf() -> Arc<ThreadBuf> {
@@ -76,7 +69,7 @@ fn local_buf() -> Arc<ThreadBuf> {
             let buf = Arc::new(ThreadBuf {
                 tid,
                 name,
-                ring: Mutex::new(Ring::new(RING_CAPACITY.load(Ordering::Relaxed))),
+                ring: Mutex::new(Ring::new(DEFAULT_RING_CAPACITY)),
             });
             BUFS.lock().expect("trace buffer registry poisoned").push(Arc::clone(&buf));
             buf

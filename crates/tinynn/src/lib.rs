@@ -39,6 +39,9 @@
 //! ```
 
 #![warn(missing_docs)]
+// The parallel runtime is the one module that needs `unsafe` (disjoint
+// per-slot writes and scoped task handoff); everything else is safe Rust.
+#![deny(unsafe_code)]
 
 mod data;
 mod loss;
@@ -46,6 +49,7 @@ mod matrix;
 mod metrics;
 mod mlp;
 mod optim;
+#[allow(unsafe_code)]
 mod par;
 mod prune;
 mod quant;
@@ -65,7 +69,7 @@ pub use mlp::{Activation, Dense, ForwardCache, Gradients, InferScratch, Mlp};
 pub use optim::{Adam, Optimizer, Sgd};
 pub use par::{effective_jobs, TrainPool};
 pub use prune::{prune_magnitude, prune_neurons, prune_two_stage, ZeroMask};
-pub use quant::{Int8Net, QuantizedLayer, QuantizedMlp};
+pub use quant::QuantizedMlp;
 pub use select::{
     column_importance, permutation_importance, recursive_feature_elimination, splitmix64, RfeStep,
 };

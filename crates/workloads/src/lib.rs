@@ -33,6 +33,7 @@
 //! assert!(unseen * 2 > eval.len());
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod benchmark;

@@ -36,6 +36,8 @@
 //! assert!(tuned.normalized_edp(&base) < 1.0, "DVFS saves EDP on memory-bound work");
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use dvfs_baselines;
 pub use gpu_power;
 pub use gpu_sim;

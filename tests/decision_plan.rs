@@ -1,11 +1,15 @@
 //! The decision path in tier 1. `DecisionPlan` is the workspace's one
 //! single-sample inference path; these tests pin it to the allocating
-//! `CombinedModel` method oracle on a dense and on a CSR-compiled head,
-//! bound its INT8 twin to one operating point of the exact path, and check
-//! that bad telemetry never poisons the self-calibration state.
+//! `CombinedModel` method oracle on a dense and on a CSR-compiled head and
+//! through the sharded decision service, and check that bad telemetry
+//! never poisons the self-calibration state.
 
+use std::sync::Arc;
+
+use gpu_power::VfTable;
 use gpu_sim::{CounterId, EpochCounters};
 use ssmdvfs::plan::{ClusterSlot, DecisionPlan, PlanDecision};
+use ssmdvfs::serve::{DecisionRequest, DecisionService, ServeConfig};
 use ssmdvfs::{CombinedModel, SsmdvfsConfig};
 
 const OPS: usize = 6;
@@ -148,20 +152,50 @@ fn plan_matches_the_model_method_oracle_on_dense_and_csr_heads() {
 }
 
 #[test]
-fn quantized_path_stays_within_one_operating_point() {
-    for sparse in [false, true] {
-        let model = model(sparse);
-        let mut plan = DecisionPlan::compile(&model, &SsmdvfsConfig::new(0.1));
-        let mut slot = plan.new_slot();
-        for (step, c) in stream().iter().enumerate() {
-            // Both paths start each epoch from the same calibration state,
-            // so any gap is the INT8 datapath's alone.
-            let q = plan.decide_slot_quantized(&mut slot.clone(), c, OPS);
-            let e = plan.decide_slot(&mut slot, c, OPS);
-            assert!(e.op.abs_diff(q.op) <= 1, "sparse={sparse} step {step}: {} vs {}", e.op, q.op);
-            assert!(q.predicted.is_finite() && q.predicted >= 0.0);
+fn served_decisions_match_the_oracle_per_key() {
+    const GPUS: usize = 4;
+    const CLUSTERS: usize = 2;
+    /// Epochs each key has in flight before the client collects answers.
+    const WINDOW: usize = 4;
+    let model = model(false);
+    let config = SsmdvfsConfig::new(0.1);
+    let table = VfTable::titan_x();
+    assert_eq!(table.len(), OPS);
+    let epochs = stream();
+    // Every key sees the same stream and starts from a fresh state, so one
+    // oracle run is every key's expected decision sequence.
+    let mut oracle = Oracle::new(&config);
+    let expected: Vec<usize> = epochs.iter().map(|c| oracle.decide(&model, c).0).collect();
+
+    let service = DecisionService::start(
+        Arc::new(model),
+        config,
+        table,
+        ServeConfig { shards: 2, max_batch: 8, ..ServeConfig::default() },
+    );
+    let client = service.client();
+    let mut requests = 0u64;
+    for (w, window) in epochs.chunks(WINDOW).enumerate() {
+        // Pipelined: the whole window for all keys is queued before the
+        // first answer is read; per-key submission order is epoch order.
+        let mut pending = Vec::new();
+        for (i, c) in window.iter().enumerate() {
+            for key in 0..GPUS * CLUSTERS {
+                let (gpu, cluster) = (key / CLUSTERS, key % CLUSTERS);
+                let request = DecisionRequest { gpu, cluster, counters: c.clone() };
+                pending.push((w * WINDOW + i, key, client.submit(request)));
+            }
+        }
+        for (step, key, p) in pending {
+            let d = p.wait();
+            requests += 1;
+            assert!(!d.fallback, "step {step} key {key}: no deadline, no fallback");
+            assert_eq!(d.op_index, expected[step], "step {step} key {key}");
         }
     }
+    let stats = service.shutdown();
+    assert_eq!(requests, (epochs.len() * GPUS * CLUSTERS) as u64);
+    assert_eq!(stats.decisions, requests);
 }
 
 #[test]
